@@ -21,12 +21,7 @@
    path vs legacy materialized exchange, written to
    results/bench_hotpath.json.
 
-   Part 2c — cohort engine ("--cohort-only" runs just this): ns/round of
-   the population-compressed Sim.Cohort engine at n = 2^10 .. 2^20 vs the
-   concrete engine where affordable, plus one full band-control attack at
-   n = 10^5, written to results/bench_cohort.json.
-
-   Part 2d — bit-packed kernel ("--bitkernel-only" runs just this):
+   Part 2c — bit-packed kernel ("--bitkernel-only" runs just this):
    ns/round of Sim.Bitkernel vs the concrete aggregate fast path for
    SynRan and FloodSet, gated at 5x at n = 4096, plus a lockstep
    run_batch identity check, written to results/bench_bitkernel.json.
@@ -323,153 +318,7 @@ let hotpath_bench () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 2c: cohort engine at population scale ("--cohort-only")        *)
-(* ------------------------------------------------------------------ *)
-
-(* ns/round of the population-compressed [Sim.Cohort] engine for SynRan at
-   n = 2^10 .. 2^20, against the concrete engine where the concrete engine
-   is still affordable (n <= 2^14 — its honest rounds are O(n) per process
-   pair scan, and at 2^16 one trial already takes minutes). Rounds are
-   capped: at large n SynRan's local-flip walk stays in the band for a
-   long time, and ns/round is what we are measuring. The round counts of
-   the two engines must agree exactly — a divergence fails the bench.
-   Finishes with one full band-control (LB adversary) run at n = 10^5
-   driven by the cohort-native planner. *)
-let cohort_bench () =
-  let now () =
-    (Unix.gettimeofday
-    [@detlint.allow
-      "R2: wall-clock here is the measurement itself (ns/round of the \
-       cohort engine); it feeds only results/bench_cohort.json, never an \
-       experiment table"]) ()
-  in
-  let max_rounds = 25 in
-  let measure run reps n =
-    let rounds = ref 0 in
-    let t0 = now () in
-    for i = 1 to reps do
-      let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + i)) n in
-      rounds := !rounds + run ~inputs ~rng:(Prng.Rng.create (100 + i))
-    done;
-    (now () -. t0, !rounds)
-  in
-  let sizes =
-    [
-      (1 lsl 10, 6);
-      (1 lsl 12, 4);
-      (1 lsl 14, 2);
-      (1 lsl 16, 2);
-      (1 lsl 18, 1);
-      (1 lsl 20, 1);
-    ]
-  in
-  let concrete_cap = 1 lsl 14 in
-  let rows =
-    List.map
-      (fun (n, reps) ->
-        let p = Core.Synran.protocol n in
-        let cohort_dt, cohort_rounds =
-          measure
-            (fun ~inputs ~rng ->
-              (Sim.Cohort.run ~max_rounds p
-                 (Sim.Cohort.Concrete Sim.Adversary.null)
-                 ~inputs ~t:0 ~rng)
-                .Sim.Engine.rounds_executed)
-            reps n
-        in
-        let ns dt rounds = dt /. float_of_int rounds *. 1e9 in
-        let cohort_ns = ns cohort_dt cohort_rounds in
-        let concrete =
-          if n > concrete_cap then None
-          else begin
-            let dt, rounds =
-              measure
-                (fun ~inputs ~rng ->
-                  (Sim.Engine.run ~max_rounds p Sim.Adversary.null ~inputs
-                     ~t:0 ~rng)
-                    .Sim.Engine.rounds_executed)
-                reps n
-            in
-            if rounds <> cohort_rounds then
-              failwith
-                (Printf.sprintf
-                   "cohort: round counts diverge at n=%d (%d vs %d)" n
-                   cohort_rounds rounds);
-            Some (ns dt rounds)
-          end
-        in
-        (match concrete with
-        | Some concrete_ns ->
-            Printf.printf
-              "cohort n=%7d: %9.0f ns/round cohort, %12.0f ns/round \
-               concrete (%6.1fx)\n"
-              n cohort_ns concrete_ns (concrete_ns /. cohort_ns)
-        | None ->
-            Printf.printf
-              "cohort n=%7d: %9.0f ns/round cohort (concrete leg skipped)\n"
-              n cohort_ns);
-        Printf.sprintf
-          "    { \"n\": %d, \"trials\": %d, \"rounds_total\": %d,\n\
-          \      \"cohort\": { \"ns_per_round\": %.0f },\n\
-          \      \"concrete\": %s }"
-          n reps cohort_rounds cohort_ns
-          (match concrete with
-          | Some c ->
-              Printf.sprintf
-                "{ \"ns_per_round\": %.0f, \"speedup\": %.2f }" c
-                (c /. cohort_ns)
-          | None -> "\"skipped: n above concrete cap\""))
-      sizes
-  in
-  (* The tentpole workload: a full adaptive band-control attack at
-     n = 10^5, planned from the compressed class view. *)
-  let band_row =
-    let n = 100_000 in
-    let p = Core.Synran.protocol n in
-    let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
-    let t0 = now () in
-    let o =
-      Sim.Cohort.run ~max_rounds:250 p
-        (Core.Lb_adversary.band_control_cohort ~rules:Core.Onesided.paper
-           ~bit_of_msg:Core.Synran.bit_of_msg ())
-        ~inputs ~t:(n - 1)
-        ~rng:(Prng.Rng.create 51)
-    in
-    let dt = now () -. t0 in
-    Printf.printf
-      "cohort band-control n=%d: %d rounds, %d kills, %s in %.2f s\n" n
-      o.Sim.Engine.rounds_executed o.Sim.Engine.kills_used
-      (match o.Sim.Engine.rounds_to_decide with
-      | Some r -> Printf.sprintf "decided at round %d" r
-      | None -> "undecided at the round cap")
-      dt;
-    Printf.sprintf
-      "  \"band_control_n1e5\": { \"n\": %d, \"t\": %d, \"rounds\": %d, \
-       \"kills\": %d, \"decided\": %b, \"seconds\": %.2f }"
-      n (n - 1) o.Sim.Engine.rounds_executed o.Sim.Engine.kills_used
-      (o.Sim.Engine.rounds_to_decide <> None)
-      dt
-  in
-  ensure_results_dir ();
-  let oc = open_out "results/bench_cohort.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"synran vs null adversary, random-bit inputs, seed \
-     %d, max_rounds %d; ns/round of the population-compressed Sim.Cohort \
-     engine vs the concrete Sim.Engine, plus one full band-control run at \
-     n=1e5\",\n\
-    \  \"rows\": [\n%s\n\
-    \  ],\n%s\n\
-     }\n"
-    seed max_rounds
-    (String.concat ",\n" rows)
-    band_row;
-  close_out oc;
-  print_endline "-> results/bench_cohort.json";
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 2d: bit-packed kernel ("--bitkernel-only")                     *)
+(* Part 2c: bit-packed kernel ("--bitkernel-only")                     *)
 (* ------------------------------------------------------------------ *)
 
 (* ns/round of the bit-packed [Sim.Bitkernel] engine vs the concrete
@@ -757,7 +606,6 @@ let () =
   let tables_only = List.mem "--tables-only" args in
   let micro_only = List.mem "--micro-only" args in
   let hotpath_only = List.mem "--hotpath-only" args in
-  let cohort_only = List.mem "--cohort-only" args in
   let bitkernel_only = List.mem "--bitkernel-only" args in
   let jobs =
     let rec find = function
@@ -798,7 +646,6 @@ let () =
   let events_out = path_opt "--events-out" in
   if attribute then attribute_bench ~jobs profile
   else if hotpath_only then hotpath_bench ()
-  else if cohort_only then cohort_bench ()
   else if bitkernel_only then bitkernel_bench ()
   else begin
     if not micro_only then
@@ -806,7 +653,6 @@ let () =
     if not tables_only then begin
       parallel_bench ();
       hotpath_bench ();
-      cohort_bench ();
       bitkernel_bench ();
       run_bechamel ()
     end

@@ -3,10 +3,10 @@
    @runtest). Exits non-zero on any divergence between the engine's
    aggregate delivery and the legacy materialized exchange, so a fast-path
    regression fails plain `dune runtest` — the QCheck differential
-   properties in test_delivery.ml then localize it. The cohort and
-   bitkernel legs replay the same discipline against the compressed and
-   bit-packed engines (outcomes, traces, metrics digest, event-stream
-   digest — any byte of difference fails tier-1).
+   properties in test_delivery.ml then localize it. The bitkernel leg
+   replays the same discipline against the bit-packed engine (outcomes,
+   traces, metrics digest, event-stream digest — any byte of difference
+   fails tier-1).
 
    Also smoke-validates the observability layer: one captured band-control
    workload at --jobs 1 vs --jobs 3 must produce byte-identical metrics
@@ -98,64 +98,11 @@ let observed run =
   let o = run sink in
   (o, Obs.Metrics.digest m, Obs.Recorder.digest rc)
 
-(* Cohort-vs-concrete replay: the compressed engine must be byte-identical
-   to Sim.Engine on outcomes, traces, and the full observability stream —
-   including under the cohort-native band adversary. Any byte of
-   difference fails tier-1. *)
-let cohort_compare name protocol ?observer adversary cohort_adversary ~n ~t
-    ~seed =
-  let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
-  let o1, m1, r1 =
-    observed (fun sink ->
-        Sim.Engine.run ~record_trace:true ?observer ~sink ~max_rounds:2000
-          protocol (adversary ()) ~inputs ~t
-          ~rng:(Prng.Rng.create seed))
-  in
-  let o2, m2, r2 =
-    observed (fun sink ->
-        Sim.Cohort.run ~record_trace:true ?observer ~sink ~max_rounds:2000
-          protocol (cohort_adversary ()) ~inputs ~t
-          ~rng:(Prng.Rng.create seed))
-  in
-  check (name ^ ": outcome+trace") (outcomes_equal o1 o2);
-  check (name ^ ": metrics digest") (m1 = m2);
-  check (name ^ ": event-stream digest") (r1 = r2)
-
-let cohort_smoke () =
-  let rules = Core.Onesided.paper in
-  let band () =
-    Core.Lb_adversary.band_control ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
-  in
-  let band_aware () =
-    Core.Lb_adversary.band_control_cohort ~rules
-      ~bit_of_msg:Core.Synran.bit_of_msg ()
-  in
-  for seed = 1 to 3 do
-    cohort_compare
-      (Printf.sprintf "cohort synran n=96 vs aware band (seed %d)" seed)
-      (Core.Synran.protocol 96) ~observer:Core.Synran.msg_is_one band
-      band_aware ~n:96 ~t:95 ~seed;
-    cohort_compare
-      (Printf.sprintf "cohort synran n=64 vs wrapped drip (seed %d)" seed)
-      (Core.Synran.protocol 64) ~observer:Core.Synran.msg_is_one
-      (fun () -> Baselines.Adversaries.drip ~per_round:2)
-      (fun () ->
-        Sim.Cohort.Concrete (Baselines.Adversaries.drip ~per_round:2))
-      ~n:64 ~t:32 ~seed;
-    cohort_compare
-      (Printf.sprintf "cohort floodset n=48 vs wrapped partial (seed %d)" seed)
-      (Baselines.Floodset.protocol ~rounds:9 ())
-      (fun () -> Baselines.Adversaries.random_partial ~p:0.1)
-      (fun () ->
-        Sim.Cohort.Concrete (Baselines.Adversaries.random_partial ~p:0.1))
-      ~n:48 ~t:24 ~seed
-  done;
-  print_endline "bench-smoke: cohort engine byte-identical to concrete"
-
-(* Bitkernel-vs-concrete replay: same contract as the cohort leg. The
-   null adversary keeps every round packed; band-control and the
-   valency-steer killer force adaptive-kill fallbacks and re-packs, so
-   both halves of the kernel are diffed. *)
+(* Bitkernel-vs-concrete replay: outcomes, traces, metrics digest and
+   event-stream digest must all match Sim.Engine. The null adversary
+   keeps every round packed; band-control and the valency-steer killer
+   force adaptive-kill fallbacks and re-packs, so both halves of the
+   kernel are diffed. *)
 let bitkernel_compare name protocol ?observer adversary ~n ~t ~seed =
   let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
   let o1, m1, r1 =
@@ -360,7 +307,6 @@ let () =
       (fun () -> Baselines.Adversaries.drip ~per_round:1)
       ~n:32 ~t:8 ~seed
   done;
-  cohort_smoke ();
   bitkernel_smoke ();
   obs_smoke ();
   chaos_smoke ();

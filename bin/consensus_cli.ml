@@ -12,9 +12,6 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Master PRNG seed.")
 
-let n_arg =
-  Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
-
 (* Reject non-positive counts at the command line with a clear error
    instead of silently coercing them to a default deeper down. *)
 let positive_int what =
@@ -25,6 +22,53 @@ let positive_int what =
     | None -> Error (`Msg (Printf.sprintf "%s must be an integer (got %S)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let n_arg =
+  Arg.(
+    value
+    & opt (positive_int "N") 64
+    & info [ "n" ] ~docv:"N" ~doc:"Number of processes (must be >= 1).")
+
+(* [-n] and [-t] as one term. [-t] defaults per subcommand and must fit
+   the paper's model, 0 <= t < n; anything else is a usage error. *)
+let n_t ~default ~default_doc =
+  let t_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "t" ] ~docv:"T"
+          ~doc:
+            (Printf.sprintf "Adversary budget, 0 <= T <= N-1 (default %s)."
+               default_doc))
+  in
+  let check n t =
+    let t = Option.value t ~default:(default n) in
+    if t < 0 || t > n - 1 then
+      `Error
+        ( true,
+          Printf.sprintf "T must satisfy 0 <= T <= N-1 (got T=%d, N=%d)" t n )
+    else `Ok (n, t)
+  in
+  Term.(ret (const check $ n_arg $ t_arg))
+
+let n_t_full = n_t ~default:(fun n -> n - 1) ~default_doc:"N-1"
+
+(* Subcommands build their protocol, and everything else derived from the
+   parameters, in [setup] before any trial runs, and get back the work to
+   do. The libraries state each precondition once, as [Invalid_argument]
+   (Ben-Or t < n/2, Phase-King n > 4t, Bounds.h n >= 2, ...); raised
+   during setup it is a usage error (exit 124), not an internal error. *)
+let checked setup =
+  match setup () with
+  | exception Invalid_argument msg -> `Error (true, msg)
+  | work -> `Ok (work ())
+
+(* Async and Byzantine protocols check their (n, t) preconditions when a
+   process is initialized: instantiating process 0 surfaces them during
+   setup. *)
+let probe_async p ~n = ignore (p.Async.Protocol.init ~n ~pid:0 ~input:0)
+
+let probe_byz p ~n = ignore (p.Byz.Protocol.init ~n ~pid:0 ~input:0)
 
 let jobs_arg =
   Arg.(
@@ -110,26 +154,17 @@ let engine_arg =
         (enum
            [
              ("concrete", `Concrete);
-             ("cohort", `Cohort);
              ("bitkernel", `Bitkernel);
              ("auto", `Auto);
            ])
         `Concrete
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution engine: concrete (per-process arrays), cohort \
-           (population-compressed equivalence classes; per-round cost \
-           scales with distinct states instead of N), bitkernel \
+          "Execution engine: concrete (per-process arrays), bitkernel \
            (bit-packed binary registers; word-parallel no-kill rounds), or \
-           auto (concrete up to N=4096, then the first capable of \
-           bitkernel/cohort/concrete; the choice lands in the run \
-           manifest). All engines produce byte-identical results.")
-
-let t_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "t" ] ~docv:"T" ~doc:"Adversary budget (default n-1).")
+           auto (concrete up to N=4096, then bitkernel if the protocol \
+           supports it, else concrete). The summary prints the engine \
+           used. All engines produce byte-identical results.")
 
 let trials_arg =
   Arg.(
@@ -249,8 +284,9 @@ let export_capture ~metrics_out ~events_out = function
         (fun path -> Obs.Export.write_events ~path (Obs.Capture.events c))
         events_out
 
-let print_summary name (s : Sim.Runner.summary) =
+let print_summary name ~engine (s : Sim.Runner.summary) =
   Printf.printf "%s\n" name;
+  Printf.printf "  engine            %s\n" engine;
   Printf.printf "  trials            %d\n" s.Sim.Runner.trials;
   Printf.printf "  mean rounds       %.3f (+/- %.3f se)\n"
     (Sim.Runner.mean_rounds s)
@@ -271,93 +307,73 @@ let print_summary name (s : Sim.Runner.summary) =
     (Stats.Histogram.render ~width:30 s.Sim.Runner.rounds_hist)
 
 let run_cmd =
-  let run n t trials seed jobs chunk_size engine rules adv_name proto_name
+  let run (n, t) trials seed jobs chunk_size engine rules adv_name proto_name
       inputs metrics_out events_out retries fault_plan fault_seed =
-    let t = Option.value t ~default:(n - 1) in
+    checked @@ fun () ->
     let gen = gen_of_inputs inputs ~n in
-    let capture = capture_for ~metrics_out ~events_out in
-    let fault =
-      match (fault_plan, fault_seed) with
-      | (Some _ as p), _ -> p
-      | None, Some fs ->
-          let cs =
-            Option.value chunk_size ~default:Sim.Parallel.default_chunk_size
-          in
-          let p = Sim.Fault.random_plan ~seed:fs ~n:trials ~chunk_size:cs in
-          Printf.printf "fault plan (seed %d): %s\n" fs
-            (Sim.Fault.plan_to_string p);
-          Some p
-      | None, None -> None
-    in
-    (* The legacy loop stays the zero-overhead default; any fault or
-       retry option routes through the supervised fold, whose successful
-       summaries are byte-identical to the legacy ones. *)
-    let finish_report (r : Sim.Runner.report) =
-      (match r.Sim.Runner.retried with
-      | [] -> ()
-      | rs ->
-          Printf.printf "chunk retries (%d):\n" (List.length rs);
-          List.iter
-            (fun f -> Printf.printf "  %s\n" (Sim.Parallel.pp_chunk_failed f))
-            rs);
-      match r.Sim.Runner.failures with
-      | [] -> (
-          match r.Sim.Runner.partial with
-          | Some s -> s
-          | None ->
-              prerr_endline "no trials completed";
-              exit 1)
-      | fs ->
-          List.iter
-            (fun f ->
-              prerr_endline ("chunk failed: " ^ Sim.Parallel.pp_chunk_failed f))
-            fs;
-          Printf.eprintf "%d/%d trials completed before failure\n"
-            r.Sim.Runner.completed_trials r.Sim.Runner.total_trials;
-          exit 1
-    in
-    let supervised = retries > 0 || Option.is_some fault in
-    (match proto_name with
-    | "synran" | "leader" ->
-        let make_adversary () = adversary_of_name adv_name ~rules ~n ~t ~seed in
-        (* Under the cohort engine the band adversaries run their native
-           compressed port; anything else is wrapped as Cohort.Concrete by
-           the runner (exact, but with view-reconstruction overhead). *)
-        let cohort_adversary =
-          match (engine, adv_name) with
-          | `Cohort, "band" ->
-              Some
-                (fun () ->
-                  Core.Lb_adversary.band_control_cohort ~rules
-                    ~bit_of_msg:Core.Synran.bit_of_msg ())
-          | `Cohort, "voting" ->
-              Some
-                (fun () ->
-                  Core.Lb_adversary.band_control_cohort
-                    ~config:Core.Lb_adversary.voting_config ~rules
-                    ~bit_of_msg:Core.Synran.bit_of_msg ())
-          | _ -> None
+    (* Every run goes through the supervised fold: without faults or
+       retries its summary is byte-identical to [Sim.Runner.run_trials],
+       and its report names the engine [`Auto] resolved to. The title's
+       adversary is built during setup, so a bad parameter fails before
+       the first trial. *)
+    let trials_of protocol ~max_rounds make_adversary =
+      let title =
+        Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
+          (make_adversary ()).Sim.Adversary.name n t
+      in
+      fun () ->
+        let capture = capture_for ~metrics_out ~events_out in
+        let fault =
+          match (fault_plan, fault_seed) with
+          | (Some _ as p), _ -> p
+          | None, Some fs ->
+              let cs =
+                Option.value chunk_size ~default:Sim.Parallel.default_chunk_size
+              in
+              let p = Sim.Fault.random_plan ~seed:fs ~n:trials ~chunk_size:cs in
+              Printf.printf "fault plan (seed %d): %s\n" fs
+                (Sim.Fault.plan_to_string p);
+              Some p
+          | None, None -> None
         in
+        let r =
+          Sim.Runner.run_trials_supervised ~max_rounds ~jobs ?chunk_size
+            ?capture ~engine ~retries ?fault ~trials ~seed ~gen_inputs:gen ~t
+            protocol make_adversary
+        in
+        (match r.Sim.Runner.retried with
+        | [] -> ()
+        | rs ->
+            Printf.printf "chunk retries (%d):\n" (List.length rs);
+            List.iter
+              (fun f -> Printf.printf "  %s\n" (Sim.Parallel.pp_chunk_failed f))
+              rs);
+        (match (r.Sim.Runner.failures, r.Sim.Runner.partial) with
+        | [], Some s -> print_summary title ~engine:r.Sim.Runner.engine_used s
+        | [], None ->
+            prerr_endline "no trials completed";
+            exit 1
+        | fs, _ ->
+            List.iter
+              (fun f ->
+                prerr_endline
+                  ("chunk failed: " ^ Sim.Parallel.pp_chunk_failed f))
+              fs;
+            Printf.eprintf "%d/%d trials completed before failure\n"
+              r.Sim.Runner.completed_trials r.Sim.Runner.total_trials;
+            exit 1);
+        export_capture ~metrics_out ~events_out capture
+    in
+    match proto_name with
+    | "synran" | "leader" ->
         let coin =
           if proto_name = "leader" then Core.Synran.Leader_priority
           else Core.Synran.Local_flip
         in
-        let protocol = Core.Synran.protocol ~rules ~coin n in
-        let s =
-          if supervised then
-            finish_report
-              (Sim.Runner.run_trials_supervised ~max_rounds:2000 ~jobs
-                 ?chunk_size ?capture ~engine ?cohort_adversary ~retries ?fault
-                 ~trials ~seed ~gen_inputs:gen ~t protocol make_adversary)
-          else
-            Sim.Runner.run_trials ~max_rounds:2000 ~jobs ?chunk_size ?capture
-              ~engine ?cohort_adversary ~trials ~seed ~gen_inputs:gen ~t
-              protocol make_adversary
-        in
-        print_summary
-          (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
-             (make_adversary ()).Sim.Adversary.name n t)
-          s
+        trials_of
+          (Core.Synran.protocol ~rules ~coin n)
+          ~max_rounds:2000
+          (fun () -> adversary_of_name adv_name ~rules ~n ~t ~seed)
     | _ ->
         (* The bit-reading adversaries target SynRan-shaped protocols; fall
            back to drip for the bit-oblivious FloodSet. *)
@@ -366,43 +382,31 @@ let run_cmd =
           | "band" | "voting" | "leader-killer" -> "drip"
           | other -> other
         in
-        let make_adversary () = generic_adversary_of_name adv_name ~n ~t ~seed in
-        let protocol = Baselines.Floodset.protocol ~rounds:(t + 1) () in
-        let s =
-          if supervised then
-            finish_report
-              (Sim.Runner.run_trials_supervised ~max_rounds:(t + 2) ~jobs
-                 ?chunk_size ?capture ~engine ~retries ?fault ~trials ~seed
-                 ~gen_inputs:gen ~t protocol make_adversary)
-          else
-            Sim.Runner.run_trials ~max_rounds:(t + 2) ~jobs ?chunk_size
-              ?capture ~engine ~trials ~seed ~gen_inputs:gen ~t protocol
-              make_adversary
-        in
-        print_summary
-          (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
-             (make_adversary ()).Sim.Adversary.name n t)
-          s);
-    export_capture ~metrics_out ~events_out capture
+        trials_of
+          (Baselines.Floodset.protocol ~rounds:(t + 1) ())
+          ~max_rounds:(t + 2)
+          (fun () -> generic_adversary_of_name adv_name ~n ~t ~seed)
   in
   let term =
     Term.(
-      const run $ n_arg $ t_arg $ trials_arg $ seed_arg $ jobs_arg
-      $ chunk_size_arg $ engine_arg $ rules_arg $ adversary_arg $ protocol_arg
-      $ inputs_arg $ metrics_out_arg $ events_out_arg $ retries_arg
-      $ fault_plan_arg $ fault_seed_arg)
+      ret
+        (const run $ n_t_full $ trials_arg $ seed_arg $ jobs_arg
+       $ chunk_size_arg $ engine_arg $ rules_arg $ adversary_arg
+       $ protocol_arg $ inputs_arg $ metrics_out_arg $ events_out_arg
+       $ retries_arg $ fault_plan_arg $ fault_seed_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run many trials of a protocol under an adversary")
     term
 
 let trace_cmd =
-  let run n t seed rules adv_name inputs =
-    let t = Option.value t ~default:(n - 1) in
+  let run (n, t) seed rules adv_name inputs =
+    checked @@ fun () ->
+    let adversary = adversary_of_name adv_name ~rules ~n ~t ~seed in
+    let protocol = Core.Synran.protocol ~rules n in
+    fun () ->
     let rng = Prng.Rng.create seed in
     let gen = gen_of_inputs inputs ~n in
     let input_bits = gen rng in
-    let adversary = adversary_of_name adv_name ~rules ~n ~t ~seed in
-    let protocol = Core.Synran.protocol ~rules n in
     let o =
       Sim.Engine.run ~record_trace:true ~observer:Core.Synran.msg_is_one
         ~max_rounds:2000 protocol adversary ~inputs:input_bits ~t ~rng
@@ -421,19 +425,21 @@ let trace_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ rules_arg $ adversary_arg
-      $ inputs_arg)
+      ret
+        (const run $ n_t_full $ seed_arg $ rules_arg $ adversary_arg
+       $ inputs_arg))
   in
   Cmd.v (Cmd.info "trace" ~doc:"Run one execution and dump the round trace") term
 
 let coinflip_cmd =
   let run n seed jobs trials budget =
-    let budget =
-      Option.value budget
-        ~default:(int_of_float (Float.ceil (Coinflip.Bounds.h n)))
-    in
+    checked @@ fun () ->
+    let h = Coinflip.Bounds.h n in
+    let games = Coinflip.Games.all n in
+    let budget = Option.value budget ~default:(int_of_float (Float.ceil h)) in
+    fun () ->
     Printf.printf "n=%d budget=%d (paper bound 4*sqrt(n ln n) = %.1f)\n\n" n
-      budget (Coinflip.Bounds.h n);
+      budget h;
     List.iter
       (fun game ->
         let best =
@@ -445,16 +451,17 @@ let coinflip_cmd =
           best.Coinflip.Control.proportion
           (1.0 -. (1.0 /. float_of_int n))
           (if Coinflip.Control.controls best ~n then "CONTROLLED" else "not controlled"))
-      (Coinflip.Games.all n)
+      games
   in
   let budget_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (nonneg_int "B")) None
       & info [ "budget" ] ~docv:"B" ~doc:"Adversary budget (default 4 sqrt(n ln n)).")
   in
   let term =
-    Term.(const run $ n_arg $ seed_arg $ jobs_arg $ trials_arg $ budget_arg)
+    Term.(
+      ret (const run $ n_arg $ seed_arg $ jobs_arg $ trials_arg $ budget_arg))
   in
   Cmd.v
     (Cmd.info "coinflip" ~doc:"Measure control of one-round coin-flipping games")
@@ -610,33 +617,38 @@ let experiments_cmd =
     term
 
 let bounds_cmd =
-  let run n t =
-    let t = Option.value t ~default:(n - 1) in
-    Printf.printf "n = %d, t = %d\n" n t;
-    Printf.printf "  lower bound rounds (Thm 1)     %.2f\n"
+  let run (n, t) =
+    (* Every value is computed during setup, so a bound that rejects n
+       fails as a usage error before anything is printed. *)
+    checked @@ fun () ->
+    let b = Buffer.create 512 in
+    Printf.bprintf b "n = %d, t = %d\n" n t;
+    Printf.bprintf b "  lower bound rounds (Thm 1)     %.2f\n"
       (Core.Theory.lower_bound_rounds ~n ~t);
-    Printf.printf "  with probability               %.4f\n"
+    Printf.bprintf b "  with probability               %.4f\n"
       (Core.Theory.lower_bound_success_prob ~n);
-    Printf.printf "  tight bound shape (Thm 3)      %.2f\n"
+    Printf.bprintf b "  tight bound shape (Thm 3)      %.2f\n"
       (Core.Theory.tight_bound_shape ~n ~t);
-    Printf.printf "  large-t shape sqrt(n/log n)    %.2f\n"
+    Printf.bprintf b "  large-t shape sqrt(n/log n)    %.2f\n"
       (Core.Theory.upper_bound_large_t_shape ~n);
-    Printf.printf "  deterministic rounds (t+1)     %d\n"
+    Printf.bprintf b "  deterministic rounds (t+1)     %d\n"
       (Core.Theory.deterministic_rounds ~t);
-    Printf.printf "  per-round kills 4sqrt(n ln n)+1 %.2f\n"
+    Printf.bprintf b "  per-round kills 4sqrt(n ln n)+1 %.2f\n"
       (Core.Theory.per_round_kills ~n);
-    Printf.printf "  switch threshold sqrt(n/ln n)  %.2f\n"
+    Printf.bprintf b "  switch threshold sqrt(n/ln n)  %.2f\n"
       (Core.Synran.switch_threshold ~n);
-    Printf.printf "  coin-game budget (Cor 2.2,k=2) %.2f\n"
-      (Coinflip.Bounds.lemma_budget ~k:2 n)
+    Printf.bprintf b "  coin-game budget (Cor 2.2,k=2) %.2f\n"
+      (Coinflip.Bounds.lemma_budget ~k:2 n);
+    fun () -> print_string (Buffer.contents b)
   in
-  let term = Term.(const run $ n_arg $ t_arg) in
+  let term = Term.(ret (const run $ n_t_full)) in
   Cmd.v (Cmd.info "bounds" ~doc:"Print the closed-form bounds for n, t") term
 
 let valency_cmd =
-  let run n t seed rounds adv_name rules =
-    let t = Option.value t ~default:(n - 1) in
+  let run (n, t) seed rounds adv_name rules =
+    checked @@ fun () ->
     let adversary = adversary_of_name adv_name ~rules ~n ~t ~seed in
+    fun () ->
     Printf.printf
       "Valency trajectory (Sec 3.2): n=%d t=%d adversary=%s\n\n" n t
       adversary.Sim.Adversary.name;
@@ -656,8 +668,9 @@ let valency_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ rounds_arg $ adversary_arg
-      $ rules_arg)
+      ret
+        (const run $ n_t_full $ seed_arg $ rounds_arg $ adversary_arg
+       $ rules_arg))
   in
   Cmd.v
     (Cmd.info "valency"
@@ -665,8 +678,10 @@ let valency_cmd =
     term
 
 let async_cmd =
-  let run n t seed trials scheduler_name =
-    let t = Option.value t ~default:((n - 1) / 2) in
+  let run (n, t) seed trials scheduler_name =
+    checked @@ fun () ->
+    let protocol = Async.Benor.protocol ~t in
+    probe_async protocol ~n;
     let scheduler =
       match scheduler_name with
       | "fair" -> Async.Scheduler.fair
@@ -674,11 +689,12 @@ let async_cmd =
       | "crash" -> Async.Scheduler.random_crash ~p:0.02
       | _ -> Async.Benor.splitter ()
     in
+    fun () ->
     let s =
       Async.Engine.run_trials ~max_steps:400_000 ~phase_of:Async.Benor.phase
         ~trials ~seed
         ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-        ~t (Async.Benor.protocol ~t) scheduler
+        ~t protocol scheduler
     in
     Printf.printf "async Ben-Or, n=%d t=%d scheduler=%s (%d trials)\n" n t
       scheduler_name trials;
@@ -697,15 +713,19 @@ let async_cmd =
           ~doc:"Scheduler: fair, fifo, crash, or splitter (adversarial).")
   in
   let term =
-    Term.(const run $ n_arg $ t_arg $ seed_arg $ trials_arg $ scheduler_arg)
+    Term.(
+      ret
+        (const run
+        $ n_t ~default:(fun n -> (n - 1) / 2) ~default_doc:"(N-1)/2"
+        $ seed_arg $ trials_arg $ scheduler_arg))
   in
   Cmd.v
     (Cmd.info "async" ~doc:"Run asynchronous Ben-Or under a chosen scheduler")
     term
 
 let byzantine_cmd =
-  let run n t seed trials proto_name adv_name =
-    let t = Option.value t ~default:((n - 1) / 5) in
+  let run (n, t) seed trials proto_name adv_name =
+    checked @@ fun () ->
     let adversary () =
       match adv_name with
       | "null" -> Byz.Adversary.null
@@ -725,13 +745,18 @@ let byzantine_cmd =
       Printf.printf "  validity errors    %d\n" s.Byz.Engine.validity_errors
     in
     let gen rng = Prng.Sample.random_bits rng n in
+    let trials_of name ~t protocol adv =
+      probe_byz protocol ~n;
+      fun () ->
+        report name
+          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
+             ~t protocol adv)
+    in
     match proto_name with
     | "phase-king" ->
         (* The king-spoofer forges Phase King messages; other adversaries
            are content-agnostic. *)
-        report "phase-king"
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Phase_king.protocol ~t) (adversary ()))
+        trials_of "phase-king" ~t (Byz.Phase_king.protocol ~t) (adversary ())
     | "eig" ->
         let t = Stdlib.min t 2 in
         let adv =
@@ -741,9 +766,7 @@ let byzantine_cmd =
           | "equivocator" -> Byz.Adversary.equivocator ~budget_fraction:1.0 ()
           | _ -> Byz.Adversary.crash_like ~victims:(List.init t (fun i -> (i + 1, i)))
         in
-        report "eig"
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Eig.protocol ~t) adv)
+        trials_of "eig" ~t (Byz.Eig.protocol ~t) adv
     | "chor-coan" ->
         let g = Stdlib.max 1 (int_of_float (log (float_of_int n) /. log 2.0)) in
         let adv =
@@ -753,10 +776,11 @@ let byzantine_cmd =
           | "equivocator" -> Byz.Adversary.equivocator ~budget_fraction:1.0 ()
           | _ -> Byz.Adversary.crash_like ~victims:(List.init t (fun i -> (i + 1, i)))
         in
-        report
+        trials_of
           (Printf.sprintf "chor-coan (g=%d)" g)
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Chor_coan.protocol ~t ~group_size:g) adv)
+          ~t
+          (Byz.Chor_coan.protocol ~t ~group_size:g)
+          adv
     | _ ->
         (* king-spoofer forges Phase King payloads; swap it for the generic
            equivocator against Rabin. *)
@@ -769,9 +793,9 @@ let byzantine_cmd =
           | "equivocator" | "king-spoofer" | _ ->
               Byz.Adversary.equivocator ~budget_fraction:1.0 ()
         in
-        report "rabin-oracle"
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Rabin.protocol ~t ~oracle_seed:(seed + 3)) adv)
+        trials_of "rabin-oracle" ~t
+          (Byz.Rabin.protocol ~t ~oracle_seed:(seed + 3))
+          adv
   in
   let proto_arg =
     Arg.(
@@ -788,7 +812,11 @@ let byzantine_cmd =
           ~doc:"null, equivocator, king-spoofer (protocol-tailored), or crash.")
   in
   let term =
-    Term.(const run $ n_arg $ t_arg $ seed_arg $ trials_arg $ proto_arg $ adv_arg)
+    Term.(
+      ret
+        (const run
+        $ n_t ~default:(fun n -> (n - 1) / 5) ~default_doc:"(N-1)/5"
+        $ seed_arg $ trials_arg $ proto_arg $ adv_arg))
   in
   Cmd.v
     (Cmd.info "byzantine"

@@ -85,7 +85,4 @@ let protocol ~rounds ?(default = 0) () =
          init = (fun () -> { saw_zero = false; saw_one = false; senders = IntSet.empty });
          absorb;
          finish;
-         (* The sender-set acc is per-receiver data, not class-compressible:
-            early stopping individuates processes by who they heard from. *)
-         cohort = None;
        })

@@ -44,46 +44,6 @@ let protocol ~rounds ?(default = 0) () =
     in
     { s with has_zero; has_one; rounds_done; decision }
   in
-  (* Cohort operations: FloodSet draws no coins and its message is a pure
-     function of the state, so a whole class moves as one subclass, and the
-     boolean-or absorb is idempotent — one representative stands in for any
-     number of surviving members. Per-round cost is O(#classes). *)
-  let state_equal (a : state) (b : state) =
-    a.rounds_total = b.rounds_total && a.default = b.default
-    && Bool.equal a.has_zero b.has_zero
-    && Bool.equal a.has_one b.has_one
-    && a.rounds_done = b.rounds_done
-    && (match (a.decision, b.decision) with
-       | None, None -> true
-       | Some x, Some y -> x = y
-       | None, Some _ | Some _, None -> false)
-  in
-  let state_hash (s : state) =
-    let b2i b = if b then 1 else 0 in
-    (((s.rounds_done * 4) + (b2i s.has_zero * 2) + b2i s.has_one) * 31)
-    + (match s.decision with None -> 3 | Some v -> v)
-  in
-  let c_phase_a s ~members ~rng_of:_ =
-    [ { Sim.Protocol.sub_state = s; sub_members = members; sub_priv = [||] } ]
-  in
-  let c_absorb (z, o) (sub : state Sim.Protocol.subclass) ~except =
-    let survivors =
-      match except with
-      | None -> Array.length sub.Sim.Protocol.sub_members
-      | Some dead ->
-          Array.fold_left
-            (fun c pid -> if dead pid then c else c + 1)
-            0 sub.Sim.Protocol.sub_members
-    in
-    if survivors = 0 then (z, o)
-    else
-      let st = sub.Sim.Protocol.sub_state in
-      (z || st.has_zero, o || st.has_one)
-  in
-  let c_msg (sub : state Sim.Protocol.subclass) _i =
-    let st = sub.Sim.Protocol.sub_state in
-    { has_zero = st.has_zero; has_one = st.has_one }
-  in
   (* Bit-plane operations: the value word is the whole per-process state
      (registers has_zero = bit 0, has_one = bit 1); FloodSet draws no
      coins. A process's own flags are subsumed by the sender tallies
@@ -145,15 +105,6 @@ let protocol ~rounds ?(default = 0) () =
             init = (fun () -> (false, false));
             absorb;
             finish;
-            cohort =
-              Some
-                {
-                  Sim.Protocol.c_equal = state_equal;
-                  c_hash = state_hash;
-                  c_phase_a;
-                  c_absorb;
-                  c_msg;
-                };
           }))
     {
       Sim.Protocol.bo_width = 2;

@@ -59,7 +59,6 @@ let of_tally ?(sample = Prng.Rng.bit) ~name ~decide n =
          init = (fun () -> (0, 0));
          absorb = (fun (sum, present) ~pid:_ v -> (sum + v, present + 1));
          finish;
-         cohort = None;
        })
 
 let majority0 n =

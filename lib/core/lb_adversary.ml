@@ -38,215 +38,6 @@ let partition_senders view ~bit_of_msg =
       if bit_of_msg m = 1 then ones := i :: !ones else zeros := i :: !zeros);
   (List.rev !ones, List.rev !zeros)
 
-(* The band-control decision core is shared between the concrete adversary
-   (per-process view, per-receiver nprev array) and the cohort port
-   (class view, run-length-compressed nprev) through this population
-   interface. Receiver/sender id lists are thunks so the cohort side only
-   materializes them on rounds that actually act (trim/rescue/stall). *)
-type pop = {
-  p_round : int;
-  p_n : int;
-  p_budget : int;
-  p_q : int;  (* receivers (active processes) *)
-  p_o : int;  (* 1-senders *)
-  p_z : int;  (* 0-senders *)
-  p_recv : unit -> int list;  (* ascending *)
-  p_ones : unit -> int list;  (* ascending *)
-  p_zeros : unit -> int list;  (* ascending *)
-  p_nprev_of : int -> int;  (* last round's delivered count, per receiver *)
-  p_bounds : (int * int) option;  (* (nmin, nmax) of nprev over receivers *)
-  p_last_burst : unit -> int;
-  p_burst_now : unit -> unit;
-  p_record :
-    action:string ->
-    flip_lo:int ->
-    flip_hi:int ->
-    margin:int ->
-    Sim.Adversary.kill list ->
-    unit;
-}
-
-let plan_core ~config ~rules pop rng =
-  let q = pop.p_q and o = pop.p_o and z = pop.p_z in
-  let budget = pop.p_budget in
-  (* Band position for this round's event; stays 0 on rounds that bail
-     out before the band is computed. *)
-  let ev_flip_lo = ref 0 and ev_flip_hi = ref 0 and ev_margin = ref 0 in
-  let finish ~action kills =
-    pop.p_record ~action ~flip_lo:!ev_flip_lo ~flip_hi:!ev_flip_hi
-      ~margin:!ev_margin kills;
-    kills
-  in
-  let give_up action = finish ~action [] in
-  let cap kills =
-    let limit =
-      match config.per_round_cap with
-      | None -> budget
-      | Some c -> Stdlib.min c budget
-    in
-    take limit kills
-  in
-  (* [q = 0] (reachable with [min_active = 0]) must bail out here: the
-     min-folds below are over the receiver set and have no value on an
-     empty one — the old [max_int] sentinel wrapped in the band arithmetic
-     and misreported such rounds as "in-band". *)
-  if q = 0 || q < config.min_active || budget = 0 then give_up "idle"
-  else begin
-    let nprev_of = pop.p_nprev_of in
-    let nmin, nmax =
-      match pop.p_bounds with
-      | Some b -> b
-      | None -> assert false (* q > 0: the receiver set is non-empty *)
-    in
-    (* Stability breaking (Lemma 4.1's remark: to keep decided processes
-       from stopping, the adversary must fail a tenth of the population
-       every few rounds). A burst of nmax/10 + 2 silent kills makes
-       N^(r-3) - N^r exceed N^(r-2)/10 for the next three stop checks.
-       When the budget can no longer sustain bursts, the endgame move
-       pushes the population below sqrt(n / log n), forcing the
-       deterministic stage's extra switching + flooding rounds. *)
-    let stall_move () =
-      if not config.stall then give_up "idle"
-      else begin
-        let thresh = sqrt (float_of_int pop.p_n /. log (float_of_int pop.p_n)) in
-        let det_pop = Stdlib.max 1 (int_of_float (Float.ceil thresh) - 1) in
-        let burst_size = Stdlib.min (q - 1) ((nmax / 10) + 2) in
-        let endgame_cost = q - det_pop in
-        let kill_first k =
-          take k (pop.p_recv ()) |> List.map Sim.Adversary.kill_silent
-        in
-        if
-          endgame_cost > 0 && budget >= endgame_cost
-          && budget < endgame_cost + burst_size
-          && endgame_cost <= 2 * burst_size
-        then begin
-          pop.p_burst_now ();
-          finish ~action:"endgame" (cap (kill_first endgame_cost))
-        end
-        else if
-          burst_size > 0 && budget >= burst_size
-          && pop.p_round - pop.p_last_burst () >= 3
-        then begin
-          pop.p_burst_now ();
-          finish ~action:"burst" (cap (kill_first burst_size))
-        end
-        else give_up "idle"
-      end
-    in
-    (* Flip band: delivered 1-count keeping every receiver off both
-       deterministic branches. *)
-    let flip_lo = cdiv (rules.Onesided.propose_lo * nmax) 10 in
-    let flip_hi = rules.Onesided.propose_hi * nmin / 10 in
-    let fq = float_of_int q in
-    let margin =
-      Stdlib.max 1
-        (int_of_float (Float.round (config.gamma *. sqrt (fq *. log fq))))
-    in
-    ev_flip_lo := flip_lo;
-    ev_flip_hi := flip_hi;
-    ev_margin := margin;
-    if o = 0 || z = 0 then
-      (* Unanimous proposals: the band is lost (with no zeros the zero
-         rule forces 1-proposals regardless of trimming); all that is
-         left is delaying the stops. *)
-      stall_move ()
-    else if flip_lo > flip_hi then stall_move ()
-    else if o > flip_hi then begin
-      (* Surplus: trim 1-votes into the band; promote a subset S so that
-         the expected next-round 1-count sits [margin] above flip_hi. *)
-      let s_count =
-        Stdlib.min (q - 1)
-          (Stdlib.max 0 ((2 * (flip_hi + margin)) - q))
-      in
-      (* Promote the receivers with the smallest thresholds. *)
-      let sorted =
-        List.sort (fun a b -> Int.compare (nprev_of a) (nprev_of b)) (pop.p_recv ())
-      in
-      let s = take s_count sorted in
-      (* (nmin, nmax) of nprev over S; [None] iff S is empty — no sentinel,
-         so no wrapping arithmetic downstream. *)
-      let s_bounds =
-        List.fold_left
-          (fun acc j ->
-            let v = nprev_of j in
-            match acc with
-            | None -> Some (v, v)
-            | Some (mn, mx) -> Some (Stdlib.min mn v, Stdlib.max mx v))
-          None s
-      in
-      let need, promotable =
-        match s_bounds with
-        | None -> (0, false)
-        | Some (s_nmin, s_nmax) ->
-            let need = (rules.Onesided.propose_hi * s_nmax / 10) + 1 - flip_hi in
-            let decide_cap = rules.Onesided.decide_hi * s_nmin / 10 in
-            (* flip_hi + need <= decide_cap, written subtraction-side to
-               stay safe however large the operands get. *)
-            (need, need >= 0 && need <= decide_cap - flip_hi && o - flip_hi >= 1)
-      in
-      let kill_count = o - flip_hi in
-      if kill_count > budget then
-        (* Cannot hold the band; save the budget for stop-delaying. *)
-        stall_move ()
-      else begin
-        let victims = take kill_count (pop.p_ones ()) in
-        let deliver_needed = if promotable then Stdlib.min need kill_count else 0 in
-        let kills =
-          List.mapi
-            (fun idx pid ->
-              if idx < deliver_needed then
-                Sim.Adversary.kill_after_send pid ~recipients:s
-              else Sim.Adversary.kill_silent pid)
-            victims
-        in
-        finish ~action:"trim" (cap kills)
-      end
-    end
-    else if o >= flip_lo then
-      (* In-band: every receiver flips; nothing to do this round. *)
-      give_up "in-band"
-    else if
-      config.desperate && z > 0
-      (* The p/2 rescue only pays when enough budget remains to exploit
-         the rebuilt 1-majority afterwards; otherwise stop-delaying
-         bursts are the better use of a thin budget. *)
-      && budget >= z + (q / 3)
-      && o >= 2
-      && q >= 2 * config.min_active
-    then begin
-      (* Deficit: the Lemma 4.6 "fail p/2" rescue. Kill every 0-sender,
-         still delivering their messages to the non-promoted receivers;
-         the promoted S (a subset of the surviving 1-senders) sees no 0
-         and must propose 1 by the zero rule. *)
-      let s_size = Stdlib.max 1 ((6 * o / 10) + 1) in
-      let s_size = Stdlib.min s_size (o - 1) in
-      let s =
-        let arr = Array.of_list (pop.p_ones ()) in
-        Prng.Sample.shuffle rng arr;
-        Array.to_list (Array.sub arr 0 s_size)
-      in
-      let s_mask = Array.make pop.p_n false in
-      List.iter (fun j -> s_mask.(j) <- true) s;
-      let non_s = List.filter (fun j -> not s_mask.(j)) (pop.p_recv ()) in
-      let kills =
-        List.map
-          (fun pid -> Sim.Adversary.kill_after_send pid ~recipients:non_s)
-          (pop.p_zeros ())
-      in
-      finish ~action:"rescue" (cap kills)
-    end
-    else
-      (* Deficit without an affordable rescue: delay the coming stops. *)
-      stall_move ()
-  end
-
-let band_name config =
-  Printf.sprintf "band-control[g=%.2f%s%s]" config.gamma
-    (if config.desperate then ",desperate" else "")
-    (match config.per_round_cap with
-    | None -> ""
-    | Some c -> Printf.sprintf ",cap=%d" c)
-
 type tracker = {
   mutable nprev : int array;  (* per-receiver delivered count, last round *)
   mutable initialized : bool;
@@ -260,7 +51,9 @@ let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
   let tr = { nprev = [||]; initialized = false; last_burst = -10 } in
   let plan view rng =
     let n = view.Sim.Adversary.n in
-    if view.Sim.Adversary.round = 1 || not tr.initialized then begin
+    let round = view.Sim.Adversary.round in
+    let budget = view.Sim.Adversary.budget_left in
+    if round = 1 || not tr.initialized then begin
       tr.nprev <- Array.make n n;
       tr.initialized <- true;
       tr.last_burst <- -10
@@ -270,18 +63,23 @@ let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
     let ones, zeros = partition_senders view ~bit_of_msg in
     let o = List.length ones and z = List.length zeros in
     let nprev_of j = tr.nprev.(j) in
-    let bounds =
+    (* (min, max) of nprev over [js]; [None] iff [js] is empty — no
+       sentinel, so no wrapping arithmetic downstream. *)
+    let nprev_bounds js =
       List.fold_left
         (fun acc j ->
           let v = nprev_of j in
           match acc with
           | None -> Some (v, v)
           | Some (mn, mx) -> Some (Stdlib.min mn v, Stdlib.max mx v))
-        None recv
+        None js
     in
-    (* Record deliveries and emit the Band event. [extra.(j)] counts killed
-       senders whose message still reaches j. *)
-    let record ~action ~flip_lo ~flip_hi ~margin kills =
+    (* Band position for this round's event; stays 0 on rounds that bail
+       out before the band is computed. *)
+    let ev_flip_lo = ref 0 and ev_flip_hi = ref 0 and ev_margin = ref 0 in
+    (* Record deliveries, emit the Band event and return the plan.
+       [extra.(j)] counts killed senders whose message still reaches j. *)
+    let finish ~action kills =
       let extra = Array.make n 0 in
       List.iter
         (fun { Sim.Adversary.victim = _; deliver_to } ->
@@ -295,170 +93,183 @@ let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
         Obs.Sink.emit sink
           (Obs.Event.Band
              {
-               round = view.Sim.Adversary.round;
+               round;
                ones = o;
                zeros = z;
-               flip_lo;
-               flip_hi;
-               margin;
+               flip_lo = !ev_flip_lo;
+               flip_hi = !ev_flip_hi;
+               margin = !ev_margin;
                action;
                kills = List.length kills;
-             })
+             });
+      kills
     in
-    plan_core ~config ~rules
-      {
-        p_round = view.Sim.Adversary.round;
-        p_n = n;
-        p_budget = view.Sim.Adversary.budget_left;
-        p_q = q;
-        p_o = o;
-        p_z = z;
-        p_recv = (fun () -> recv);
-        p_ones = (fun () -> ones);
-        p_zeros = (fun () -> zeros);
-        p_nprev_of = nprev_of;
-        p_bounds = bounds;
-        p_last_burst = (fun () -> tr.last_burst);
-        p_burst_now = (fun () -> tr.last_burst <- view.Sim.Adversary.round);
-        p_record = record;
-      }
-      rng
-  in
-  { Sim.Adversary.name = band_name config; plan }
-
-(* Cohort-aware port: same decisions, same Band events, same RNG draws —
-   but everything per-receiver is run-length compressed. The delivered
-   counts collapse to one default (every receiver saw the survivor
-   broadcast) plus explicit exceptions for partial-delivery recipients, so
-   idle/in-band rounds cost O(#classes + #exceptions) instead of O(n). *)
-type ctracker = {
-  mutable cdef : int;  (* nprev for every receiver without an exception *)
-  mutable cexc : (int * int) list;  (* exceptions, ascending pid *)
-  cexc_tbl : (int, int) Hashtbl.t;  (* same data, O(1) lookup *)
-  mutable cinit : bool;
-  mutable clast_burst : int;
-}
-
-let band_control_cohort ?(config = default_config) ?(sink = Obs.Sink.null)
-    ~rules ~bit_of_msg () =
-  Onesided.validate rules;
-  let emit_on = Obs.Sink.enabled sink in
-  let tr =
-    {
-      cdef = 0;
-      cexc = [];
-      cexc_tbl = Hashtbl.create 16;
-      cinit = false;
-      clast_burst = -10;
-    }
-  in
-  let plan (cv : _ Sim.Cohort.cview) rng =
-    let n = cv.Sim.Cohort.cv_n in
-    if cv.Sim.Cohort.cv_round = 1 || not tr.cinit then begin
-      tr.cdef <- n;
-      tr.cexc <- [];
-      Hashtbl.reset tr.cexc_tbl;
-      tr.cinit <- true;
-      tr.clast_burst <- -10
-    end;
-    let classes = cv.Sim.Cohort.cv_classes in
-    let class_bit c = bit_of_msg (c.Sim.Cohort.cc_msg 0) in
-    let q = List.fold_left (fun acc c -> acc + c.Sim.Cohort.cc_size) 0 classes in
-    let o =
-      List.fold_left
-        (fun acc c -> if class_bit c = 1 then acc + c.Sim.Cohort.cc_size else acc)
-        0 classes
-    in
-    let z = q - o in
-    let nprev_of j =
-      match Hashtbl.find_opt tr.cexc_tbl j with Some v -> v | None -> tr.cdef
-    in
-    (* Exceptions for processes that have since died or halted must not
-       count toward the bounds; the default participates iff some active
-       receiver carries it. *)
-    let exc_active =
-      List.filter (fun (j, _) -> cv.Sim.Cohort.cv_active j) tr.cexc
-    in
-    let bounds =
-      let init =
-        if q - List.length exc_active > 0 then Some (tr.cdef, tr.cdef) else None
+    let give_up action = finish ~action [] in
+    let cap kills =
+      let limit =
+        match config.per_round_cap with
+        | None -> budget
+        | Some c -> Stdlib.min c budget
       in
-      List.fold_left
-        (fun acc (_, v) ->
-          match acc with
-          | None -> Some (v, v)
-          | Some (mn, mx) -> Some (Stdlib.min mn v, Stdlib.max mx v))
-        init exc_active
+      take limit kills
     in
-    (* Materialized only on acting rounds: ascending pid lists, identical
-       to what the concrete adversary reads off its per-process view. *)
-    let members_of pred =
-      classes
-      |> List.filter pred
-      |> List.concat_map (fun c -> Array.to_list c.Sim.Cohort.cc_members)
-      |> List.sort Int.compare
-    in
-    let recv = lazy (members_of (fun _ -> true)) in
-    let ones = lazy (members_of (fun c -> class_bit c = 1)) in
-    let zeros = lazy (members_of (fun c -> class_bit c <> 1)) in
-    let record ~action ~flip_lo ~flip_hi ~margin kills =
-      let nkills = List.length kills in
-      let base = q - nkills in
-      (* Count partial-delivery occurrences per active recipient — the
-         compressed image of the concrete tracker's [base + extra.(j)]
-         writes (inactive recipients were never written, and never read). *)
-      Hashtbl.reset tr.cexc_tbl;
-      List.iter
-        (fun { Sim.Adversary.victim = _; deliver_to } ->
-          List.iter
-            (fun j ->
-              if j >= 0 && j < n && cv.Sim.Cohort.cv_active j then
-                Hashtbl.replace tr.cexc_tbl j
-                  (1
-                  + (match Hashtbl.find_opt tr.cexc_tbl j with
-                    | Some c -> c
-                    | None -> 0)))
-            deliver_to)
-        kills;
-      tr.cdef <- base;
-      tr.cexc <-
-        Hashtbl.fold (fun j c acc -> (j, base + c) :: acc) tr.cexc_tbl []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-      List.iter (fun (j, v) -> Hashtbl.replace tr.cexc_tbl j v) tr.cexc;
-      if emit_on then
-        Obs.Sink.emit sink
-          (Obs.Event.Band
-             {
-               round = cv.Sim.Cohort.cv_round;
-               ones = o;
-               zeros = z;
-               flip_lo;
-               flip_hi;
-               margin;
-               action;
-               kills = nkills;
-             })
-    in
-    plan_core ~config ~rules
-      {
-        p_round = cv.Sim.Cohort.cv_round;
-        p_n = n;
-        p_budget = cv.Sim.Cohort.cv_budget_left;
-        p_q = q;
-        p_o = o;
-        p_z = z;
-        p_recv = (fun () -> Lazy.force recv);
-        p_ones = (fun () -> Lazy.force ones);
-        p_zeros = (fun () -> Lazy.force zeros);
-        p_nprev_of = nprev_of;
-        p_bounds = bounds;
-        p_last_burst = (fun () -> tr.clast_burst);
-        p_burst_now = (fun () -> tr.clast_burst <- cv.Sim.Cohort.cv_round);
-        p_record = record;
-      }
-      rng
+    (* [q = 0] (reachable with [min_active = 0]) must bail out here: the
+       min-folds below are over the receiver set and have no value on an
+       empty one — the old [max_int] sentinel wrapped in the band arithmetic
+       and misreported such rounds as "in-band". *)
+    if q = 0 || q < config.min_active || budget = 0 then give_up "idle"
+    else begin
+      let nmin, nmax =
+        match nprev_bounds recv with
+        | Some b -> b
+        | None -> assert false (* q > 0: the receiver set is non-empty *)
+      in
+      (* Stability breaking (Lemma 4.1's remark: to keep decided processes
+         from stopping, the adversary must fail a tenth of the population
+         every few rounds). A burst of nmax/10 + 2 silent kills makes
+         N^(r-3) - N^r exceed N^(r-2)/10 for the next three stop checks.
+         When the budget can no longer sustain bursts, the endgame move
+         pushes the population below sqrt(n / log n), forcing the
+         deterministic stage's extra switching + flooding rounds. *)
+      let stall_move () =
+        if not config.stall then give_up "idle"
+        else begin
+          let thresh = sqrt (float_of_int n /. log (float_of_int n)) in
+          let det_pop = Stdlib.max 1 (int_of_float (Float.ceil thresh) - 1) in
+          let burst_size = Stdlib.min (q - 1) ((nmax / 10) + 2) in
+          let endgame_cost = q - det_pop in
+          let kill_first k =
+            take k recv |> List.map Sim.Adversary.kill_silent
+          in
+          if
+            endgame_cost > 0 && budget >= endgame_cost
+            && budget < endgame_cost + burst_size
+            && endgame_cost <= 2 * burst_size
+          then begin
+            tr.last_burst <- round;
+            finish ~action:"endgame" (cap (kill_first endgame_cost))
+          end
+          else if
+            burst_size > 0 && budget >= burst_size
+            && round - tr.last_burst >= 3
+          then begin
+            tr.last_burst <- round;
+            finish ~action:"burst" (cap (kill_first burst_size))
+          end
+          else give_up "idle"
+        end
+      in
+      (* Flip band: delivered 1-count keeping every receiver off both
+         deterministic branches. *)
+      let flip_lo = cdiv (rules.Onesided.propose_lo * nmax) 10 in
+      let flip_hi = rules.Onesided.propose_hi * nmin / 10 in
+      let fq = float_of_int q in
+      let margin =
+        Stdlib.max 1
+          (int_of_float (Float.round (config.gamma *. sqrt (fq *. log fq))))
+      in
+      ev_flip_lo := flip_lo;
+      ev_flip_hi := flip_hi;
+      ev_margin := margin;
+      if o = 0 || z = 0 then
+        (* Unanimous proposals: the band is lost (with no zeros the zero
+           rule forces 1-proposals regardless of trimming); all that is
+           left is delaying the stops. *)
+        stall_move ()
+      else if flip_lo > flip_hi then stall_move ()
+      else if o > flip_hi then begin
+        (* Surplus: trim 1-votes into the band; promote a subset S so that
+           the expected next-round 1-count sits [margin] above flip_hi. *)
+        let s_count =
+          Stdlib.min (q - 1)
+            (Stdlib.max 0 ((2 * (flip_hi + margin)) - q))
+        in
+        (* Promote the receivers with the smallest thresholds. *)
+        let sorted =
+          List.sort (fun a b -> Int.compare (nprev_of a) (nprev_of b)) recv
+        in
+        let s = take s_count sorted in
+        let need, promotable =
+          match nprev_bounds s with
+          | None -> (0, false)
+          | Some (s_nmin, s_nmax) ->
+              let need =
+                (rules.Onesided.propose_hi * s_nmax / 10) + 1 - flip_hi
+              in
+              let decide_cap = rules.Onesided.decide_hi * s_nmin / 10 in
+              (* flip_hi + need <= decide_cap, written subtraction-side to
+                 stay safe however large the operands get. *)
+              ( need,
+                need >= 0 && need <= decide_cap - flip_hi && o - flip_hi >= 1
+              )
+        in
+        let kill_count = o - flip_hi in
+        if kill_count > budget then
+          (* Cannot hold the band; save the budget for stop-delaying. *)
+          stall_move ()
+        else begin
+          let victims = take kill_count ones in
+          let deliver_needed =
+            if promotable then Stdlib.min need kill_count else 0
+          in
+          let kills =
+            List.mapi
+              (fun idx pid ->
+                if idx < deliver_needed then
+                  Sim.Adversary.kill_after_send pid ~recipients:s
+                else Sim.Adversary.kill_silent pid)
+              victims
+          in
+          finish ~action:"trim" (cap kills)
+        end
+      end
+      else if o >= flip_lo then
+        (* In-band: every receiver flips; nothing to do this round. *)
+        give_up "in-band"
+      else if
+        config.desperate && z > 0
+        (* The p/2 rescue only pays when enough budget remains to exploit
+           the rebuilt 1-majority afterwards; otherwise stop-delaying
+           bursts are the better use of a thin budget. *)
+        && budget >= z + (q / 3)
+        && o >= 2
+        && q >= 2 * config.min_active
+      then begin
+        (* Deficit: the Lemma 4.6 "fail p/2" rescue. Kill every 0-sender,
+           still delivering their messages to the non-promoted receivers;
+           the promoted S (a subset of the surviving 1-senders) sees no 0
+           and must propose 1 by the zero rule. *)
+        let s_size = Stdlib.max 1 ((6 * o / 10) + 1) in
+        let s_size = Stdlib.min s_size (o - 1) in
+        let s =
+          let arr = Array.of_list ones in
+          Prng.Sample.shuffle rng arr;
+          Array.to_list (Array.sub arr 0 s_size)
+        in
+        let s_mask = Array.make n false in
+        List.iter (fun j -> s_mask.(j) <- true) s;
+        let non_s = List.filter (fun j -> not s_mask.(j)) recv in
+        let kills =
+          List.map
+            (fun pid -> Sim.Adversary.kill_after_send pid ~recipients:non_s)
+            zeros
+        in
+        finish ~action:"rescue" (cap kills)
+      end
+      else
+        (* Deficit without an affordable rescue: delay the coming stops. *)
+        stall_move ()
+    end
   in
-  Sim.Cohort.Aware { aname = band_name config; aplan = plan }
+  {
+    Sim.Adversary.name =
+      Printf.sprintf "band-control[g=%.2f%s%s]" config.gamma
+        (if config.desperate then ",desperate" else "")
+        (match config.per_round_cap with
+        | None -> ""
+        | Some c -> Printf.sprintf ",cap=%d" c);
+    plan;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo valency adversary                                       *)

@@ -73,21 +73,6 @@ val band_control :
     ["trim"], ["rescue"], ["burst"], ["endgame"], ["in-band"] or
     ["idle"] — and the kill count spent. *)
 
-val band_control_cohort :
-  ?config:config ->
-  ?sink:Obs.Sink.t ->
-  rules:Onesided.rules ->
-  bit_of_msg:('msg -> int) ->
-  unit ->
-  ('state, 'msg) Sim.Cohort.adversary
-(** The same adversary as {!band_control} — same decisions, same RNG
-    draws, same {!Obs.Event.Band} stream — planning natively from the
-    cohort engine's class view ({!Sim.Cohort.Aware}). Per-receiver
-    delivered counts are run-length compressed (one shared default plus
-    explicit exceptions for partial-delivery recipients), so idle and
-    in-band rounds cost O(#classes + #exceptions) instead of O(n).
-    Stateful per run, resets on round 1, like {!band_control}. *)
-
 (** {2 Monte-Carlo valency adversary (small n)} *)
 
 type mc_config = {

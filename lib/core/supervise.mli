@@ -54,7 +54,7 @@ type result = {
   total_trials : int;
   engines : string list;
       (** Execution engines the experiment's runner folds actually used
-          (["concrete"], ["cohort"], ["bitkernel"]), deduplicated in
+          (["concrete"], ["bitkernel"]), deduplicated in
           first-use order — this is where [`Auto]'s resolution becomes
           auditable. Empty for inline folds that never go through
           {!commit}. Manifest-only, like [elapsed_s]: engine choice never

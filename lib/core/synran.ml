@@ -190,157 +190,6 @@ let step_deterministic s ~left ~acc =
   else { s with stage = Deterministic { left }; has_zero; has_one }
 
 (* ------------------------------------------------------------------ *)
-(* Cohort operations                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything below must be observationally equal to the scalar
-   [phase_a]/[acc_absorb] above — the cohort engine's byte-identity with
-   the concrete engine (cohort.differential suite) rests on it. *)
-
-let det_word s =
-  match s.stage with
-  | Deterministic _ -> (s.has_zero, s.has_one)
-  | Probabilistic | Switching -> (false, false)
-
-(* Phase A for a whole class: per member (ascending), draw this round's
-   coin then its leader priority — the exact two draws the scalar
-   [phase_a] makes from the member's private stream. The class splits into
-   at most two subclasses (coin = 0 / coin = 1); priorities stay
-   per-member in [sub_priv]. *)
-let c_phase_a s ~members ~rng_of =
-  let k = Array.length members in
-  let coins = Array.make k 0 in
-  let prios = Array.make k 0 in
-  let zeros = ref 0 in
-  for i = 0 to k - 1 do
-    let rng = rng_of members.(i) in
-    coins.(i) <- Prng.Rng.bit rng;
-    prios.(i) <- Prng.Rng.int rng 1_000_000_000;
-    if coins.(i) = 0 then incr zeros
-  done;
-  let mk coin count =
-    if count = 0 then []
-    else begin
-      let ms = Array.make count 0 in
-      let pv = Array.make count 0 in
-      let j = ref 0 in
-      for i = 0 to k - 1 do
-        if coins.(i) = coin then begin
-          ms.(!j) <- members.(i);
-          pv.(!j) <- prios.(i);
-          incr j
-        end
-      done;
-      [ { Sim.Protocol.sub_state = { s with coin }; sub_members = ms; sub_priv = pv } ]
-    end
-  in
-  mk 0 !zeros @ mk 1 (k - !zeros)
-
-(* Class-level absorb: the vote tally and saw-flags collapse to counted
-   contributions (bit and value word are class-uniform); only the leader
-   argmax needs a per-member scan over the stored priorities. *)
-let c_absorb acc (sub : state Sim.Protocol.subclass) ~except =
-  let ms = sub.Sim.Protocol.sub_members in
-  let pv = sub.Sim.Protocol.sub_priv in
-  let st = sub.Sim.Protocol.sub_state in
-  let count = ref 0 in
-  let best_prio = ref acc.a_best_prio in
-  let best_pid = ref acc.a_best_pid in
-  let absorb_one i =
-    incr count;
-    let prio = pv.(i) and pid = ms.(i) in
-    if prio > !best_prio || (prio = !best_prio && pid > !best_pid) then begin
-      best_prio := prio;
-      best_pid := pid
-    end
-  in
-  (match except with
-  | None ->
-      for i = 0 to Array.length ms - 1 do
-        absorb_one i
-      done
-  | Some dead ->
-      for i = 0 to Array.length ms - 1 do
-        if not (dead ms.(i)) then absorb_one i
-      done);
-  if !count = 0 then acc
-  else begin
-    let det_zero, det_one = det_word st in
-    {
-      a_ones = acc.a_ones + (st.b * !count);
-      a_nrecv = acc.a_nrecv + !count;
-      a_best_prio = !best_prio;
-      a_best_pid = !best_pid;
-      a_best_bit = (if !best_pid = acc.a_best_pid then acc.a_best_bit else st.b);
-      a_saw_zero = acc.a_saw_zero || st.b = 0 || det_zero;
-      a_saw_one = acc.a_saw_one || st.b = 1 || det_one;
-    }
-  end
-
-let c_msg (sub : state Sim.Protocol.subclass) i =
-  let st = sub.Sim.Protocol.sub_state in
-  let det =
-    match st.stage with
-    | Deterministic _ -> Some (st.has_zero, st.has_one)
-    | Probabilistic | Switching -> None
-  in
-  { bit = st.b; prio = sub.Sim.Protocol.sub_priv.(i); det }
-
-(* Every process of one run shares [rules]/[coin_mode]/[threshold]/
-   [det_rounds] (closure constants of [protocol]), so physical equality is
-   exact for them; the remaining fields are scalars. *)
-let state_equal s1 s2 =
-  s1.b = s2.b && s1.coin = s2.coin
-  && Bool.equal s1.decided_flag s2.decided_flag
-  && (match (s1.output, s2.output) with
-     | None, None -> true
-     | Some x, Some y -> x = y
-     | None, Some _ | Some _, None -> false)
-  && Bool.equal s1.halted s2.halted
-  && (match (s1.stage, s2.stage) with
-     | Probabilistic, Probabilistic | Switching, Switching -> true
-     | Deterministic { left = l1 }, Deterministic { left = l2 } -> l1 = l2
-     | (Probabilistic | Switching | Deterministic _), _ -> false)
-  && Bool.equal s1.has_zero s2.has_zero
-  && Bool.equal s1.has_one s2.has_one
-  && s1.n1 = s2.n1 && s1.n2 = s2.n2 && s1.n3 = s2.n3
-  && s1.rules == s2.rules
-  && (match (s1.coin_mode, s2.coin_mode) with
-     | Local_flip, Local_flip | Leader_priority, Leader_priority -> true
-     | Shared_oracle a, Shared_oracle b -> a = b
-     | (Local_flip | Leader_priority | Shared_oracle _), _ -> false)
-  && Float.equal s1.threshold s2.threshold
-  && s1.det_rounds = s2.det_rounds
-
-let state_hash s =
-  let b2i x = if x then 1 else 0 in
-  let stage_tag =
-    match s.stage with
-    | Probabilistic -> 0
-    | Switching -> 1
-    | Deterministic { left } -> 2 + left
-  in
-  let out = match s.output with None -> -1 | Some v -> v in
-  let h = s.b in
-  let h = (h * 31) + s.coin in
-  let h = (h * 31) + b2i s.decided_flag in
-  let h = (h * 31) + stage_tag in
-  let h = (h * 31) + (b2i s.has_zero * 2) + b2i s.has_one in
-  let h = (h * 31) + s.n1 in
-  let h = (h * 31) + s.n2 in
-  let h = (h * 31) + s.n3 in
-  (h * 31) + out
-
-let cohort_ops =
-  {
-    Sim.Protocol.c_equal = state_equal;
-    c_hash = state_hash;
-    c_phase_a;
-    c_absorb;
-    c_msg;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Bit-plane operations                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -574,5 +423,5 @@ let protocol ?(rules = Onesided.paper) ?(coin = Local_flip) n =
        ~decision:(fun s -> s.output)
        ~halted:(fun s -> s.halted)
        (Sim.Protocol.Aggregate
-          { init = acc_init; absorb = acc_absorb; finish; cohort = Some cohort_ops }))
+          { init = acc_init; absorb = acc_absorb; finish }))
     bitops

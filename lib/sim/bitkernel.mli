@@ -18,10 +18,10 @@
     consumption (per-process streams and the adversary stream) — is
     identical to running the same protocol, adversary, inputs and rng
     through {!Engine}. The [bitkernel.differential] test suite and the
-    bench smoke gate enforce this. Unlike {!Cohort}, the adversary view
-    is the plain per-process {!Adversary.view} with full state access
-    (packed states are unpacked on demand), so any concrete adversary —
-    including adaptive ones — runs unchanged.
+    bench smoke gate enforce this. The adversary view is the plain
+    per-process {!Adversary.view} with full state access (packed states
+    are unpacked on demand), so any concrete adversary — including
+    adaptive ones — runs unchanged.
 
     Protocols opt in by declaring {!Protocol.bitops} (and an aggregate,
     which the kill-round fallback uses); {!start} refuses others —

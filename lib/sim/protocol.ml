@@ -1,27 +1,8 @@
-type 'state subclass = {
-  sub_state : 'state;
-  sub_members : int array;
-  sub_priv : int array;
-}
-
-type ('state, 'msg, 'acc) cohort = {
-  c_equal : 'state -> 'state -> bool;
-  c_hash : 'state -> int;
-  c_phase_a :
-    'state ->
-    members:int array ->
-    rng_of:(int -> Prng.Rng.t) ->
-    'state subclass list;
-  c_absorb : 'acc -> 'state subclass -> except:(int -> bool) option -> 'acc;
-  c_msg : 'state subclass -> int -> 'msg;
-}
-
 type ('state, 'msg) aggregate =
   | Aggregate : {
       init : unit -> 'acc;
       absorb : 'acc -> pid:int -> 'msg -> 'acc;
       finish : 'state -> round:int -> 'acc -> 'state;
-      cohort : ('state, 'msg, 'acc) cohort option;
     }
       -> ('state, 'msg) aggregate
 
@@ -61,11 +42,6 @@ type ('state, 'msg) t = {
 let decided p s = Option.is_some (p.decision s)
 
 let legacy p = { p with aggregate = None; bitops = None }
-
-let cohort_capable p =
-  match p.aggregate with
-  | Some (Aggregate { cohort = Some _; _ }) -> true
-  | Some (Aggregate { cohort = None; _ }) | None -> false
 
 let bitkernel_capable p =
   (* Bitkernel needs the aggregate too: kill rounds fall back to the

@@ -13,53 +13,6 @@
     executions and replays alternative futures, which is only sound if
     states are not shared mutable structures. *)
 
-type 'state subclass = {
-  sub_state : 'state;
-      (** Post-Phase-A state, identical for every member of the subclass. *)
-  sub_members : int array;  (** Member pids, ascending. *)
-  sub_priv : int array;
-      (** Per-member private payload, indexed like [sub_members] — protocol
-          data that varies within the subclass (e.g. SynRan's per-process
-          leader priorities). [[||]] when the protocol needs none; only the
-          protocol's own [c_absorb]/[c_msg] interpret it. *)
-}
-(** One post-Phase-A equivalence class of the cohort engine: a set of
-    processes that entered the round in the same state and drew the same
-    coins, so they hold the same state and (up to [sub_priv]) broadcast the
-    same message. *)
-
-type ('state, 'msg, 'acc) cohort = {
-  c_equal : 'state -> 'state -> bool;
-      (** State equality — decides when processes share a class. Must imply
-          equal decisions/halting and byte-identical future behaviour under
-          identical received multisets. *)
-  c_hash : 'state -> int;  (** Consistent with [c_equal]. *)
-  c_phase_a :
-    'state ->
-    members:int array ->
-    rng_of:(int -> Prng.Rng.t) ->
-    'state subclass list;
-      (** Run Phase A for a whole class at once. MUST make exactly the coin
-          draws the scalar [phase_a] would: for each pid in [members]
-          (ascending), the same sequence of draws from [rng_of pid]. The
-          returned subclasses partition [members], each keeping its members
-          in ascending order. *)
-  c_absorb : 'acc -> 'state subclass -> except:(int -> bool) option -> 'acc;
-      (** Absorb every member's broadcast except those matching [except]
-          (e.g. this round's victims). Must equal a member-wise fold of the
-          scalar [absorb] — in any order, which is sound because [absorb] is
-          commutative as values (see {!aggregate}). Class-level counting
-          makes this O(members) at worst and O(1) for count-only folds. *)
-  c_msg : 'state subclass -> int -> 'msg;
-      (** Reconstruct the exact message member [i] (an index into
-          [sub_members]) broadcast — what the scalar [phase_a] returned. *)
-}
-(** Cohort operations: the additional contract a protocol provides to run on
-    {!Cohort}, the population-compressed engine. All three functions must be
-    observationally equal to the scalar [phase_a]/[absorb] they compress, so
-    the cohort engine is byte-identical to {!Engine} (pinned by the
-    [cohort.differential] test suite). *)
-
 type ('state, 'msg) aggregate =
   | Aggregate : {
       init : unit -> 'acc;  (** The empty aggregate (no message absorbed). *)
@@ -78,10 +31,6 @@ type ('state, 'msg) aggregate =
               On no-kill rounds the engine hands the {e same} accumulator
               value to every receiver's [finish], so [finish] must treat
               it as read-only. *)
-      cohort : ('state, 'msg, 'acc) cohort option;
-          (** Optional cohort operations sharing this aggregate's
-              accumulator type; [None] keeps the protocol off the
-              population-compressed engine (it still runs on {!Engine}). *)
     }
       -> ('state, 'msg) aggregate
 (** An optional commutative-fold message consumer. A protocol that only
@@ -161,10 +110,10 @@ type ('state, 'msg) bitops = {
           the round through the scalar engine path and re-packs). *)
 }
 (** Bit-plane operations: the opt-in contract for {!Bitkernel}, mirroring
-    the {!aggregate}/{!cohort} pattern. All functions must be
-    observationally equal to the scalar [phase_a]/[phase_b] they
-    vectorize, so the bit-packed engine is byte-identical to {!Engine}
-    (pinned by the [bitkernel.differential] suite). *)
+    the {!aggregate} pattern. All functions must be observationally equal
+    to the scalar [phase_a]/[phase_b] they vectorize, so the bit-packed
+    engine is byte-identical to {!Engine} (pinned by the
+    [bitkernel.differential] suite). *)
 
 type ('state, 'msg) t = {
   name : string;
@@ -199,10 +148,6 @@ val legacy : ('state, 'msg) t -> ('state, 'msg) t
 (** [legacy p] is [p] with its aggregate dropped: the engine will run it
     through the materialized-array exchange. Used by the differential
     tests and the hot-path benchmark to compare the two delivery paths. *)
-
-val cohort_capable : ('state, 'msg) t -> bool
-(** Whether the protocol declares {!cohort} operations, i.e. can run on the
-    population-compressed {!Cohort} engine. *)
 
 val bitkernel_capable : ('state, 'msg) t -> bool
 (** Whether the protocol declares both {!bitops} and an {!aggregate}, i.e.

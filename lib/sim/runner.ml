@@ -113,27 +113,25 @@ type report = {
 
 let engine_name = function
   | `Concrete -> "concrete"
-  | `Cohort -> "cohort"
   | `Bitkernel -> "bitkernel"
 
 (* [`Auto] crossover: below this population the concrete engine's plain
-   array sweep wins (packing overhead and cohort bookkeeping don't pay for
-   themselves); above it, prefer the bit-packed kernel, then cohort
-   compression, then concrete. The probe trial's inputs are a pure
-   function of (seed, 0), so peeking at [n] consumes nothing any real
-   trial will miss. *)
+   array sweep wins (packing overhead doesn't pay for itself); above it,
+   prefer the bit-packed kernel when the protocol declares bitops, else
+   stay on concrete. The probe trial's inputs are a pure function of
+   (seed, 0), so peeking at [n] consumes nothing any real trial will
+   miss. *)
 let auto_crossover = 4096
 
 let resolve_engine engine ~seed ~gen_inputs protocol =
   match engine with
-  | (`Concrete | `Cohort | `Bitkernel) as e -> e
+  | (`Concrete | `Bitkernel) as e -> e
   | `Auto ->
       let n =
         Array.length (gen_inputs (Prng.Rng.of_seed_index ~seed ~index:0))
       in
       if n <= auto_crossover then `Concrete
       else if Protocol.bitkernel_capable protocol then `Bitkernel
-      else if Protocol.cohort_capable protocol then `Cohort
       else `Concrete
 
 let summary_of_acc acc =
@@ -152,8 +150,8 @@ let summary_of_acc acc =
   }
 
 let run_trials_supervised ?(max_rounds = 10_000) ?strict ?jobs ?chunk_size
-    ?cancel ?checkpoint ?capture ?(engine = `Concrete) ?cohort_adversary
-    ?retries ?fault ~trials ~seed ~gen_inputs ~t protocol make_adversary =
+    ?cancel ?checkpoint ?capture ?(engine = `Concrete) ?retries ?fault
+    ~trials ~seed ~gen_inputs ~t protocol make_adversary =
   if trials <= 0 then invalid_arg "Runner.run_trials: trials must be positive";
   (* One injector per run, sized to this fold's chunk geometry: fault
      placement is a pure function of (plan, trials, chunk_size), never of
@@ -200,13 +198,6 @@ let run_trials_supervised ?(max_rounds = 10_000) ?strict ?jobs ?chunk_size
       | `Concrete ->
           Engine.run ~max_rounds ?sink protocol (make_adversary ()) ~inputs ~t
             ~rng
-      | `Cohort ->
-          let adversary =
-            match cohort_adversary with
-            | Some f -> f ()
-            | None -> Cohort.Concrete (make_adversary ())
-          in
-          Cohort.run ~max_rounds ?sink protocol adversary ~inputs ~t ~rng
       | `Bitkernel ->
           Bitkernel.run ~max_rounds ?sink protocol (make_adversary ()) ~inputs
             ~t ~rng
@@ -310,11 +301,10 @@ let run_trials_supervised ?(max_rounds = 10_000) ?strict ?jobs ?chunk_size
   }
 
 let run_trials ?max_rounds ?strict ?jobs ?chunk_size ?capture ?engine
-    ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol make_adversary =
+    ~trials ~seed ~gen_inputs ~t protocol make_adversary =
   let r =
     run_trials_supervised ?max_rounds ?strict ?jobs ?chunk_size ?capture
-      ?engine ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol
-      make_adversary
+      ?engine ~trials ~seed ~gen_inputs ~t protocol make_adversary
   in
   match (r.failures, r.partial) with
   | f :: _, _ ->

@@ -47,8 +47,8 @@ type report = {
       (** Terminal failures (budget exhausted), in chunk order. *)
   cancelled : bool;  (** The [cancel] watchdog fired. *)
   engine_used : string;
-      (** The engine the trials actually ran on — ["concrete"],
-          ["cohort"] or ["bitkernel"] — after [`Auto] resolution. Recorded
+      (** The engine the trials actually ran on — ["concrete"] or
+          ["bitkernel"] — after [`Auto] resolution. Recorded
           in run manifests so an experiment's execution path is
           auditable. *)
 }
@@ -64,8 +64,7 @@ val run_trials_supervised :
   ?cancel:(unit -> bool) ->
   ?checkpoint:Checkpoint.t ->
   ?capture:Obs.Capture.t ->
-  ?engine:[ `Concrete | `Cohort | `Bitkernel | `Auto ] ->
-  ?cohort_adversary:(unit -> ('state, 'msg) Cohort.adversary) ->
+  ?engine:[ `Concrete | `Bitkernel | `Auto ] ->
   ?retries:int ->
   ?fault:Fault.plan ->
   trials:int ->
@@ -112,22 +111,14 @@ val run_trials_supervised :
     disabled-sink path.
 
     [engine] (default [`Concrete]) selects the execution engine per trial.
-    [`Cohort] runs each trial through the population-compressed
-    {!Cohort} engine — byte-identical observables, per-round cost
-    proportional to distinct states rather than [n] — and requires a
-    {!Protocol.cohort_capable} protocol. The adversary comes from
-    [cohort_adversary] when given (typically a cohort-native planner);
-    otherwise each trial's [make_adversary ()] result is wrapped as
-    {!Cohort.Concrete}, exact but with per-process view reconstruction
-    costs. [cohort_adversary] is ignored under [`Concrete].
-
     [`Bitkernel] runs each trial through the bit-packed {!Bitkernel}
     engine (requires {!Protocol.bitkernel_capable}); the per-trial
     [make_adversary ()] result is used directly, as under [`Concrete].
     [`Auto] picks per run: [`Concrete] for populations at or below the
-    crossover (4096), above it the first capable engine in the order
-    bitkernel, cohort, concrete; the choice is reported in
-    [engine_used] and — via {!Supervise} — in the run manifest. All
+    crossover (4096), above it [`Bitkernel] if the protocol is
+    {!Protocol.bitkernel_capable}, else [`Concrete]; the choice is
+    reported in [engine_used] and — via {!Supervise} — in the run
+    manifest. All
     engines produce byte-identical summaries, event streams and metrics,
     so the selection is a pure performance decision. *)
 
@@ -137,8 +128,7 @@ val run_trials :
   ?jobs:int ->
   ?chunk_size:int ->
   ?capture:Obs.Capture.t ->
-  ?engine:[ `Concrete | `Cohort | `Bitkernel | `Auto ] ->
-  ?cohort_adversary:(unit -> ('state, 'msg) Cohort.adversary) ->
+  ?engine:[ `Concrete | `Bitkernel | `Auto ] ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
@@ -150,7 +140,7 @@ val run_trials :
     {!Prng.Rng.of_seed_index}, so it is reproducible regardless of how many
     trials run, in what order, or across how many domains: [~jobs:8]
     produces a bit-identical summary to [~jobs:1]. [jobs] defaults to
-    {!Parallel.default_jobs}; [chunk_size] and [engine]/[cohort_adversary]
+    {!Parallel.default_jobs}; [chunk_size] and [engine]
     behave as in {!run_trials_supervised} (and like [jobs], neither
     changes the summary). The last argument builds the adversary; it is
     called once per trial because adversaries may carry mutable per-run

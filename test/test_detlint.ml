@@ -319,18 +319,6 @@ let test_taint_waiver_quarantines () =
   | [ (_, used) ] -> Alcotest.(check bool) "waiver counted as used" true used
   | ws -> Alcotest.failf "expected one waiver site, got %d" (List.length ws)
 
-let test_r7_fires_and_clean () =
-  let _, bad = analyze_typed_fixture "bad_r7_order" in
-  check_strings "R7 on descending member loop" [ "R7" ] (taint_rules bad);
-  (match bad.Detlint_taint.findings with
-  | [ f ] ->
-      Alcotest.(check bool)
-        "finding names the cohort op" true
-        (contains ~needle:"c_phase_a" f.Detlint.message)
-  | fs -> Alcotest.failf "expected exactly one R7, got %d" (List.length fs));
-  let _, good = analyze_typed_fixture "good_r7_sorted" in
-  check_strings "ascending iteration is clean" [] (taint_rules good)
-
 let test_r8_fires_and_clean () =
   let _, bad = analyze_typed_fixture "bad_r8_floatfold" in
   check_strings "R8 on float fold in a merge" [ "R8" ] (taint_rules bad);
@@ -486,7 +474,6 @@ let suites =
         tc "T1 chain spans two call edges" test_taint_chain_fires;
         tc "expression waiver quarantines the leaf"
           test_taint_waiver_quarantines;
-        tc "R7 descending member order" test_r7_fires_and_clean;
         tc "R8 float fold vs absorb algebra" test_r8_fires_and_clean;
         tc "bitkernel word ops are sink-rooted" test_bitkernel_roots;
         tc "R9 escaping ref vs chunk-local state" test_r9_fires_and_clean;

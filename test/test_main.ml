@@ -6,5 +6,5 @@ let () =
    @ Test_delivery.suites @ Test_coinflip.suites @ Test_baselines.suites
    @ Test_synran.suites @ Test_lowerbound.suites @ Test_async.suites
    @ Test_byz.suites @ Test_supervised.suites @ Test_fault.suites
-   @ Test_properties.suites @ Test_obs.suites @ Test_cohort.suites
-   @ Test_bitkernel.suites @ Test_detlint.suites)
+   @ Test_properties.suites @ Test_obs.suites @ Test_bitkernel.suites
+   @ Test_engines.suites @ Test_detlint.suites)

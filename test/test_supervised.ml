@@ -521,7 +521,7 @@ let test_runner_auto_engine () =
      and the resolution must be auditable through [engine_used] and the
      manifest's [engines] list. Small populations stay on the concrete
      engine; above the crossover a bitkernel-capable protocol takes the
-     bit-packed kernel. *)
+     bit-packed kernel, and any other protocol falls back to concrete. *)
   let run ~engine ~n ~trials protocol =
     Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1 ~chunk_size:2
       ~trials ~seed:11 ~engine
@@ -554,6 +554,15 @@ let test_runner_auto_engine () =
     conc_large.Sim.Runner.engine_used;
   check_bool "auto = explicit bitkernel" true (key auto_large = key bitk_large);
   check_bool "bitkernel = concrete" true (key bitk_large = key conc_large);
+  (* n = 4100 > crossover, but early-stopping FloodSet declares no bitops:
+     the only fallback left is the concrete engine. *)
+  let plain = Baselines.Early_stop.protocol ~rounds:3 () in
+  let auto_plain = run ~engine:`Auto ~n:4100 ~trials:2 plain in
+  let conc_plain = run ~engine:`Concrete ~n:4100 ~trials:2 plain in
+  check_string "large n without bitops resolves concrete" "concrete"
+    auto_plain.Sim.Runner.engine_used;
+  check_bool "auto = explicit concrete above the crossover" true
+    (key auto_plain = key conc_plain);
   (* The manifest audit trail: committing reports from two engines leaves
      both in the experiment record, in first-use order, and the engines
      list never perturbs the metrics digest (it is manifest-only). *)

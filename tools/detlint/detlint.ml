@@ -41,9 +41,9 @@
        anywhere; only firing sites is confined. The unit-test tree is
        exempt (tests exercise the injector directly).
 
-   Rules R7 (cohort class-member order), R8 (float-fold ordering on merged
-   registries), R9 (mutable state escaping supervised chunk closures) and
-   T1 (interprocedural source->sink taint) live in the typed pass — see
+   Rules R8 (float-fold ordering on merged registries), R9 (mutable state
+   escaping supervised chunk closures) and T1 (interprocedural
+   source->sink taint) live in the typed pass — see
    [Detlint_callgraph] and [Detlint_taint]; this module only registers
    their rule ids and documentation so waivers parse and reports render
    uniformly.
@@ -87,11 +87,11 @@ type finding = {
   justification : string option;
 }
 
-(* Rules a [@detlint.allow] may name. R7-R9 and T1 are enforced by the
+(* Rules a [@detlint.allow] may name. R8, R9 and T1 are enforced by the
    typed taint pass (detlint_taint.ml); their waivers parse here so the
    syntactic pass neither W0s them nor suppresses anything with them. *)
 let rule_ids =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "T1" ]
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R8"; "R9"; "R10"; "T1" ]
 
 (* Everything that can appear as a finding's [rule], for the JSON report. *)
 let all_rule_ids = rule_ids @ [ "W0"; "W1"; "P0" ]
@@ -107,9 +107,6 @@ let rule_doc = function
   | "R6" ->
       "direct Obs.Clock use outside lib/obs and bench (the diagnostic \
        timing quarantine)"
-  | "R7" ->
-      "member-order-sensitive control flow inside the cohort-op closure \
-       (typed taint pass)"
   | "R8" ->
       "order-sensitive float fold on a merge-flow path (typed taint pass)"
   | "R9" ->

@@ -6,17 +6,15 @@
 
    One [node] per named function: every value binding whose right-hand side
    is syntactically a function, qualified by its enclosing modules and
-   enclosing function bindings ("Sim.Cohort.step.find_member"), plus
-   synthetic nodes for anonymous lambdas bound directly to the cohort-op
-   record fields [c_phase_a]/[c_absorb]/[c_msg]. Facts occurring outside
-   any function (module-level initialization code) attach to a per-unit
-   "(toplevel)" node.
+   enclosing function bindings ("Sim.Engine.run_until.loop"). Facts
+   occurring outside any function (module-level initialization code)
+   attach to a per-unit "(toplevel)" node.
 
    Extracted facts, all carrying precise source locations and the innermost
    active [@detlint.allow] waiver if one matches their underlying rule:
 
    - call edges: every identifier referenced in the body. [Pdot] paths are
-     global names ("Sim.Protocol.cohort_capable", already display-form in
+     global names ("Sim.Protocol.bitkernel_capable", already display-form in
      the typed tree); [Pident]s are resolved against enclosing scopes after
      the whole graph is loaded, so local helpers and siblings link up.
    - nondeterminism sources: global [Random] (R1), wall-clock/entropy (R2),
@@ -27,9 +25,6 @@
    - float folds (R8): [fold_left]/[fold_right] applications whose result
      type is [float] — order-sensitive accumulations, checked against the
      merge-flow region by the taint pass.
-   - order ops (R7): descending [for ... downto] loops and unsorted
-     Hashtbl iteration — member-order-sensitive control flow, checked
-     against the cohort-op closure by the taint pass.
    - supervised captures (R9): free variables of mutable type ([ref],
      [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t]) captured by closure
      literals passed to [fold_chunks_supervised] — state that escapes the
@@ -87,8 +82,6 @@ type occurrence = {
   o_waiver : waiver option;
 }
 
-type order_op = Downto_loop | Hashtbl_iteration
-
 type capture = {
   cap_name : string;  (* the escaping variable *)
   cap_ty : string;  (* its mutable head constructor, e.g. "ref" *)
@@ -111,14 +104,10 @@ type node = {
   mutable calls : call list;
   mutable sources : occurrence list;
   mutable float_folds : (loc * waiver option) list;
-  mutable order_ops : (order_op * string * loc * waiver option) list;
   mutable captures : capture list;
   mutable fn_waiver : waiver option;
       (* function-level [@detlint.allow "T1: ..."] on the binding:
          quarantines the whole function in the taint pass *)
-  mutable cohort_field : bool;
-      (* bound (directly or by name pun) to a c_phase_a/c_absorb/c_msg
-         record field — an R7 root even if the name is unconventional *)
 }
 
 type graph = {
@@ -137,7 +126,7 @@ let strip_prefix ~prefix s =
     Some (String.sub s lp (String.length s - lp))
   else None
 
-(* "Sim__Cohort" -> "Sim.Cohort"; "Dune__exe__Main" -> "Main". *)
+(* "Sim__Engine" -> "Sim.Engine"; "Dune__exe__Main" -> "Main". *)
 let normalize_unit m =
   let m = match strip_prefix ~prefix:"Dune__exe__" m with Some r -> r | None -> m in
   let b = Buffer.create (String.length m) in
@@ -210,8 +199,6 @@ let supervised_entries = [ "Parallel.fold_chunks_supervised" ]
 let mutable_head_ctors =
   [ "ref"; "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t" ]
 
-let cohort_field_names = [ "c_phase_a"; "c_absorb"; "c_msg" ]
-
 let in_scope_r1 file = not (String.length file >= 9 && String.sub file 0 9 = "lib/prng/")
 
 let in_scope_r5 file =
@@ -238,7 +225,7 @@ let loc_of (l : Location.t) ~file =
 (* Same surface syntax as the ppxlib pass: [@detlint.allow "R<n>: why"].
    Rules outside the known set are left to the syntactic pass's W0. *)
 let known_rules =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "T1" ]
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R8"; "R9"; "T1" ]
 
 let parse_waiver ~file (attr : Parsetree.attribute) =
   if attr.Parsetree.attr_name.Location.txt <> "detlint.allow" then None
@@ -319,10 +306,8 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
             calls = [];
             sources = [];
             float_folds = [];
-            order_ops = [];
             captures = [];
             fn_waiver = None;
-            cohort_field = false;
           }
         in
         Hashtbl.add graph.nodes name n;
@@ -359,7 +344,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
        direct (cross-unit) name first, so fully-qualified callees are
        unaffected. *)
     let scope_names =
-      (* ["Sim.Cohort"; "step"] -> ["Sim.Cohort"; "Sim.Cohort.step"] *)
+      (* ["Sim.Engine"; "step"] -> ["Sim.Engine"; "Sim.Engine.step"] *)
       List.fold_left
         (fun acc s ->
           match acc with
@@ -387,11 +372,8 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
       || name = "Obs.Clock")
       && in_scope_r6 file
     then add Sk_clock;
-    if List.mem name hashtbl_order_fns && !sorted_depth = 0 then begin
-      add Sk_hashtbl_order;
-      let w = active_waiver [ "R7"; "R3" ] in
-      n.order_ops <- (Hashtbl_iteration, name, loc, w) :: n.order_ops
-    end
+    if List.mem name hashtbl_order_fns && !sorted_depth = 0 then
+      add Sk_hashtbl_order
   in
   (* Free mutable variables of a closure literal (R9). *)
   let closure_captures (body : Typedtree.expression) ~entry =
@@ -464,67 +446,9 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
         match e.Typedtree.exp_desc with
         | Typedtree.Texp_ident (p, lid, _) ->
             record_ident p lid.Location.loc
-        | Typedtree.Texp_for (_, _, lo, hi, dir, body) ->
-            expr_iter sub lo;
-            expr_iter sub hi;
-            (match dir with
-            | Asttypes.Downto ->
-                let n = fact_node ~line:e.Typedtree.exp_loc.loc_start.pos_lnum in
-                n.order_ops <-
-                  ( Downto_loop,
-                    "for ... downto",
-                    loc_of e.Typedtree.exp_loc ~file,
-                    active_waiver [ "R7" ] )
-                  :: n.order_ops
-            | Asttypes.Upto -> ());
-            expr_iter sub body
         | Typedtree.Texp_let (_, vbs, body) ->
             List.iter (value_binding sub) vbs;
             expr_iter sub body
-        | Typedtree.Texp_record { fields; extended_expression; _ } ->
-            Option.iter (expr_iter sub) extended_expression;
-            Array.iter
-              (fun (ld, rd) ->
-                match rd with
-                | Typedtree.Kept _ -> ()
-                | Typedtree.Overridden (_, fe) ->
-                    let label = ld.Types.lbl_name in
-                    if List.mem label cohort_field_names && is_function fe
-                    then begin
-                      (* An anonymous cohort-op lambda: give it its own node
-                         so the R7 closure starts at the right place. *)
-                      let saved = !current and saved_scopes = !scopes in
-                      scopes := label :: !scopes;
-                      let node =
-                        get_node (node_of_scopes ())
-                          ~line:fe.Typedtree.exp_loc.loc_start.pos_lnum
-                      in
-                      node.cohort_field <- true;
-                      current := Some node;
-                      expr_iter sub fe;
-                      current := saved;
-                      scopes := saved_scopes
-                    end
-                    else begin
-                      (* A punned or named cohort field marks its function
-                         binding as a cohort root during edge resolution. *)
-                      (if List.mem label cohort_field_names then
-                         match head_ident_name fe with
-                         | Some _ ->
-                             let n =
-                               fact_node
-                                 ~line:fe.Typedtree.exp_loc.loc_start.pos_lnum
-                             in
-                             n.calls <-
-                               (match (unwrap_texp fe).Typedtree.exp_desc with
-                               | Typedtree.Texp_ident (Path.Pident _, _, _) ->
-                                   { callee = "cohort-field!"; local_scopes = None }
-                                   :: n.calls
-                               | _ -> n.calls)
-                         | None -> ());
-                      expr_iter sub fe
-                    end)
-              fields
         | Typedtree.Texp_apply (f, args) ->
             let head = head_ident_name f in
             (* R8: fully applied float-typed fold. *)

@@ -11,10 +11,6 @@
        paths, [Runner.run_trials]*, [Stats] merges, [Obs.Metrics],
        checkpoint serialization, protocol phase/absorb/finish hot paths).
        The finding carries the full sink→source call chain.
-   R7  member-order-sensitive control flow ([for ... downto], unsorted
-       Hashtbl iteration) inside the cohort-op closure — the call-closure
-       of [c_phase_a]/[c_absorb]/[c_msg] — which breaks the ascending
-       member-draw byte-identity contract of DESIGN §5c.
    R8  a float-typed [fold_left]/[fold_right] inside the protected region:
        order-sensitive accumulation flowing toward merged registries must
        use the commutative init/absorb/finish algebra or carry a waiver.
@@ -53,7 +49,7 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Sink and cohort roots                                               *)
+(* Sink roots                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* [Fn]: dotted-suffix match on the full function name. [Mod]: suffix
@@ -70,9 +66,6 @@ let sink_roots =
     Fn "Engine.step";
     Fn "Engine.run";
     Fn "Engine.run_until";
-    Fn "Cohort.step";
-    Fn "Cohort.run";
-    Fn "Cohort.run_until";
     Fn "Bitkernel.step";
     Fn "Bitkernel.run";
     Fn "Bitkernel.run_until";
@@ -99,8 +92,6 @@ let sink_roots =
    and the [acc_*]-style helpers bound to them. *)
 let protocol_base_pats = [ "phase_a"; "phase_b"; "absorb"; "finish" ]
 
-let cohort_base_names = [ "c_phase_a"; "c_absorb"; "c_msg" ]
-
 (* Bitops implementations are likewise reached through the
    [Protocol.bitops] record (the bit-packed kernel calls [bo.bo_step]),
    so they root by the documented field names. *)
@@ -112,8 +103,7 @@ let ends_with ~suffix s =
   l >= ls && String.sub s (l - ls) ls = suffix
 
 let is_protocol_base base =
-  List.mem base cohort_base_names
-  || List.mem base bitops_base_names
+  List.mem base bitops_base_names
   || List.exists
        (fun p -> base = p || ends_with ~suffix:("_" ^ p) base)
        protocol_base_pats
@@ -126,10 +116,6 @@ let is_sink_root (n : G.node) =
       | Mod m -> G.suffix_matches ~suffix:m mp)
     sink_roots
   || is_protocol_base (G.base_name n.G.fn)
-  || n.G.cohort_field
-
-let is_cohort_root (n : G.node) =
-  n.G.cohort_field || List.mem (G.base_name n.G.fn) cohort_base_names
 
 (* ------------------------------------------------------------------ *)
 (* Graph closures                                                      *)
@@ -237,15 +223,11 @@ let analyze (g : G.graph) =
     in
     down [] fn
   in
-  (* Protected and cohort regions. *)
+  (* The protected region. *)
   let sink_root_names =
     List.filter (fun fn -> is_sink_root (node fn)) names
   in
-  let cohort_root_names =
-    List.filter (fun fn -> is_cohort_root (node fn)) names
-  in
   let protected_pred = forward_closure succ sink_root_names in
-  let cohort_pred = forward_closure succ cohort_root_names in
   (* ---- findings -------------------------------------------------- *)
   let findings = ref [] in
   let used : G.loc list ref = ref [] in
@@ -273,7 +255,6 @@ let analyze (g : G.graph) =
       (* Every attached waiver is live against the facts it covers. *)
       List.iter (fun o -> mark_used o.G.o_waiver) n.G.sources;
       List.iter (fun (_, w) -> mark_used w) n.G.float_folds;
-      List.iter (fun (_, _, _, w) -> mark_used w) n.G.order_ops;
       List.iter (fun c -> mark_used c.G.cap_waiver) n.G.captures;
       let tainted_callee =
         List.exists
@@ -305,33 +286,6 @@ let analyze (g : G.graph) =
                    o.G.o_path
                    (G.source_rule o.G.o_kind)))
           (unwaived_sources n);
-      (* R7: order-sensitive control flow inside the cohort-op closure. *)
-      if Hashtbl.mem cohort_pred fn && n.G.fn_waiver = None then
-        List.iter
-          (fun (op, what, loc, w) ->
-            match w with
-            | Some _ -> ()
-            | None ->
-                let chain = chain_from_root cohort_pred fn in
-                emit ~rule:"R7" ~loc
-                  ~message:
-                    (Printf.sprintf
-                       "%s inside the cohort-op closure (%s): class-member \
-                        processing must be ascending over the documented \
-                        sorted accessors"
-                       (match op with
-                       | G.Downto_loop -> "descending for-loop"
-                       | G.Hashtbl_iteration ->
-                           Printf.sprintf "unsorted %s" what)
-                       (render_chain chain))
-                  ~hint:
-                    "cohort byte-identity (DESIGN \xc2\xa75c) requires \
-                     member-pid-ascending iteration; iterate sub_members / \
-                     cls_members upward, or waive with [@detlint.allow \
-                     \"R7: why order cannot be observed\"]")
-          (List.sort
-             (fun (_, _, a, _) (_, _, b, _) -> G.compare_loc a b)
-             n.G.order_ops);
       (* R8: float folds on merge-flow paths. *)
       if protected_ && n.G.fn_waiver = None then
         List.iter
