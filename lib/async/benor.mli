@@ -16,7 +16,10 @@
     asynchronous weakness that motivates the paper's synchronous
     question. *)
 
-type msg
+type msg =
+  | Report of { phase : int; v : int }  (** (R, phase, b). *)
+  | Proposal of { phase : int; v : int option }
+      (** (P, phase, candidate); [None] is the "no candidate" proposal. *)
 
 type state
 
@@ -36,4 +39,13 @@ val splitter : unit -> msg Scheduler.t
     It only loses when the collective coin flips land so lopsided that
     balancing is impossible — an exponentially rare event, making expected
     phases exponential in n. Stateful per run (resets on a fresh run's
-    first step). *)
+    first step).
+
+    Each pick delivers the first message in send order with the lowest
+    score (Proposal-None 0, a Report on the minority side of its
+    receiver's phase sample 1, any other Report 2, a Report that would
+    complete a candidate majority 3, Proposal-Some 4). It keeps its own
+    id-ordered buckets of the messages sharing a score — Proposal-None,
+    Proposal-Some, and one per Report (dst, phase, v) — ranked by
+    (score, head id), so a pick costs O(log B) for B non-empty buckets
+    plus O(log P) view lookups per message sent since the last pick. *)

@@ -10,6 +10,7 @@ type outcome = {
   all_decided : bool;
   steps : int;
   max_phase : int option;
+  pending_touched : int;
 }
 
 let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
@@ -18,24 +19,14 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
   let emit_on = Obs.Sink.enabled sink in
   let n = Array.length inputs in
   if n = 0 then invalid_arg "Async.Engine.run: no processes";
-  if t < 0 || t > n then invalid_arg "Async.Engine.run: bad budget";
+  if t < 0 || t >= n then invalid_arg "Async.Engine.run: needs 0 <= t < n";
   let crashed = Array.make n false in
   let decisions = Array.make n None in
+  (* Live processes with no decision yet: the run is over at 0. *)
+  let undecided = ref n in
   let proc_rngs = Prng.Rng.split_n rng n in
   let sched_rng = Prng.Rng.split rng in
-  let pending : (int, m Scheduler.in_flight) Hashtbl.t = Hashtbl.create 256 in
-  (* Send-ordered view of [pending], maintained incrementally: new messages
-     are pushed newest-first and the oldest-first view is rebuilt by a
-     filter + reverse (no sort); the backing list is compacted when mostly
-     tombstones. *)
-  let rev_pending : m Scheduler.in_flight list ref = ref [] in
-  let live m = Hashtbl.mem pending m.Scheduler.id in
-  let pending_view () =
-    let view = List.rev (List.filter live !rev_pending) in
-    if 2 * List.length view < List.length !rev_pending then
-      rev_pending := List.filter live !rev_pending;
-    view
-  in
+  let pending : m Scheduler.in_flight Pending.t = Pending.create () in
   let next_id = ref 0 in
   let sends = ref 0 in
   let deliveries = ref 0 in
@@ -50,9 +41,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
         if not crashed.(dst) then begin
           let id = !next_id in
           incr next_id;
-          let m = { Scheduler.id; src; dst; payload } in
-          Hashtbl.replace pending id m;
-          rev_pending := m :: !rev_pending
+          Pending.push pending ~id { Scheduler.id; src; dst; payload }
         end)
       sendlist
   in
@@ -75,6 +64,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
           (Decision_changed (Printf.sprintf "process %d revoked decision %d" pid v))
     | None, Some v ->
         decisions.(pid) <- after;
+        decr undecided;
         (* Async has no rounds; the step index is the event's timeline. *)
         if emit_on then
           Obs.Sink.emit sink
@@ -82,29 +72,30 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
                { engine = Obs.Event.Async; round = step; pid; value = v })
     | _, after -> decisions.(pid) <- after
   in
-  let all_live_decided () =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if (not crashed.(i)) && decisions.(i) = None then ok := false
-    done;
-    !ok
-  in
+  (* The view's accessors are built once; only the scalars change. *)
+  let crashed_at i = crashed.(i) in
+  let decided_at i = decisions.(i) in
+  let nth_pending k = Pending.nth pending k in
+  let find_pending id = Pending.find pending id in
+  let iter_pending f = Pending.iter pending f in
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < max_steps do
-    if Hashtbl.length pending = 0 || all_live_decided () then continue := false
+    if Pending.count pending = 0 || !undecided = 0 then continue := false
     else begin
       incr steps;
-      let pending_list = pending_view () in
       let view =
         {
           Scheduler.n;
           t;
           crash_budget_left = !crash_budget;
-          crashed = Array.copy crashed;
-          decided = Array.copy decisions;
-          pending = pending_list;
           steps_taken = !steps;
+          crashed = crashed_at;
+          decided = decided_at;
+          pending_count = Pending.count pending;
+          nth_pending;
+          find_pending;
+          iter_pending;
         }
       in
       match scheduler.Scheduler.pick view sched_rng with
@@ -117,6 +108,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
             raise (Invalid_action "crash budget exhausted");
           decr crash_budget;
           crashed.(pid) <- true;
+          if Option.is_none decisions.(pid) then decr undecided;
           if emit_on then
             Obs.Sink.emit sink
               (Obs.Event.Kill
@@ -127,23 +119,13 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
                    delivered_to = 0;
                  });
           (* Its in-flight traffic evaporates, both directions. *)
-          let doomed =
-            (* Sorted so the removal set never depends on bucket layout
-               (removal commutes, but cheap determinism beats a waiver). *)
-            Hashtbl.fold
-              (fun id m acc ->
-                if m.Scheduler.src = pid || m.Scheduler.dst = pid then id :: acc
-                else acc)
-              pending []
-            |> List.sort Int.compare
-          in
-          List.iter (Hashtbl.remove pending) doomed
+          Pending.remove_if pending (fun m ->
+              m.Scheduler.src = pid || m.Scheduler.dst = pid)
       | Scheduler.Deliver id -> (
-          match Hashtbl.find_opt pending id with
+          match Pending.remove pending id with
           | None ->
               raise (Invalid_action (Printf.sprintf "message %d not in flight" id))
           | Some m ->
-              Hashtbl.remove pending id;
               let dst = m.Scheduler.dst in
               if not crashed.(dst) then begin
                 incr deliveries;
@@ -165,7 +147,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
       (fun f ->
         Array.to_list states
         |> List.mapi (fun i s -> if crashed.(i) then 0 else f s)
-        |> List.fold_left Stdlib.max 0)
+        |> List.fold_left Int.max 0)
       phase_of
   in
   {
@@ -174,9 +156,10 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
     deliveries = !deliveries;
     sends = !sends;
     coin_flips;
-    all_decided = all_live_decided ();
+    all_decided = (!undecided = 0);
     steps = !steps;
     max_phase;
+    pending_touched = Pending.touched pending;
   }
 
 type summary = {
@@ -231,6 +214,7 @@ let run_trials ?max_steps ?phase_of ?capture ~trials ~seed ~gen_inputs ~t
         Obs.Metrics.observe_int om "async.deliveries" o.deliveries;
         Obs.Metrics.observe_int om "async.sends" o.sends;
         Obs.Metrics.observe_int om "async.coin_flips" o.coin_flips;
+        Obs.Metrics.incr ~by:o.pending_touched om "async.pending_touched";
         if not o.all_decided then Obs.Metrics.incr om "async.non_terminating");
     if not o.all_decided then incr non_terminating
     else begin

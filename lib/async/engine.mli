@@ -8,7 +8,16 @@
     needed, when nothing is in flight, or at the step cap.
 
     As in the synchronous engine, decisions are irrevocable and validated;
-    messages to or from crashed processes evaporate. *)
+    messages to or from crashed processes evaporate.
+
+    {b Cost per step}, P being the number of messages in flight: building
+    the scheduler's zero-copy {!Scheduler.view} is O(1); a delivery removes
+    the message in O(log P) and enqueues each new send in amortized
+    O(log P) ({!Pending}); the termination test is an O(1) counter of
+    undecided live processes. A crash costs one pass over the pending
+    slots, O(P log P) at worst. The engine's own work is therefore
+    O((1 + sends) · log P) per delivery, plus whatever the scheduler's
+    [pick] and the protocol's handler cost. *)
 
 exception Decision_changed of string
 exception Invalid_action of string
@@ -24,6 +33,10 @@ type outcome = {
   max_phase : int option;
       (** Highest protocol phase reached, when the protocol reports one
           via the [phase_of] observer. *)
+  pending_touched : int;
+      (** Pending-store entries visited by the engine and by the view's
+          accessors ({!Pending.touched}): a deterministic work counter,
+          O(log P) per step under the built-in schedulers. *)
 }
 
 val run :
@@ -37,7 +50,9 @@ val run :
   rng:Prng.Rng.t ->
   outcome
 (** Execute to quiescence or [max_steps] (default 200_000). [t] is the
-    scheduler's crash budget.
+    scheduler's crash budget; it must satisfy the paper's [0 <= t < n]
+    ([Invalid_argument] otherwise), so at least one process survives and
+    "every live process decided" is never vacuous.
 
     [sink] (default {!Obs.Sink.null}) receives the run's observability
     events. Async executions have no rounds, so each event's [round]
@@ -72,7 +87,8 @@ val run_trials :
 
     [capture] attaches the observability layer: engine events feed a
     metrics registry ([async.trials], [async.deliveries], [async.sends],
-    [async.coin_flips], [async.non_terminating], plus the per-event
+    [async.coin_flips], [async.non_terminating], the work counter
+    [async.pending_touched] summed over trials, plus the per-event
     [async.*] counters from {!Obs.Metrics.absorb_event}) and, when the
     capture asks for events, the raw stream in trial-then-step order.
     The loop is sequential, so the capture is deterministic for a fixed

@@ -49,13 +49,11 @@ let test_crash_drops_messages () =
       Async.Scheduler.name = "crash0";
       pick =
         (fun view rng ->
-          if not view.Async.Scheduler.crashed.(0) then Async.Scheduler.Crash 0
+          if not (view.Async.Scheduler.crashed 0) then Async.Scheduler.Crash 0
           else
-            let k =
-              Prng.Rng.int rng (List.length view.Async.Scheduler.pending)
-            in
+            let k = Prng.Rng.int rng view.Async.Scheduler.pending_count in
             Async.Scheduler.Deliver
-              (List.nth view.Async.Scheduler.pending k).Async.Scheduler.id);
+              (view.Async.Scheduler.nth_pending k).Async.Scheduler.id);
     }
   in
   let o = run_echo crash0 ~inputs:[| 1; 0; 0 |] ~t:1 ~seed:3 in
@@ -72,10 +70,8 @@ let test_crash_budget_enforced () =
     {
       Async.Scheduler.name = "over-crasher";
       pick = (fun view _ ->
-        let live = ref (-1) in
-        Array.iteri
-          (fun i c -> if (not c) && !live < 0 then live := i)
-          view.Async.Scheduler.crashed;
+        let live = ref 0 in
+        while view.Async.Scheduler.crashed !live do incr live done;
         Async.Scheduler.Crash !live);
     }
   in
@@ -84,6 +80,15 @@ let test_crash_budget_enforced () =
        ignore (run_echo crasher ~inputs:[| 1; 0; 0 |] ~t:1 ~seed:4);
        false
      with Async.Engine.Invalid_action _ -> true)
+
+let test_budget_below_n () =
+  (* The paper's t < n: a budget of n could crash everyone, after which
+     "every live process decided" would hold vacuously. *)
+  Alcotest.check_raises "t = n rejected"
+    (Invalid_argument "Async.Engine.run: needs 0 <= t < n") (fun () ->
+      ignore (run_echo Async.Scheduler.fair ~inputs:[| 1; 0; 0 |] ~t:3 ~seed:4));
+  let o = run_echo Async.Scheduler.fair ~inputs:[| 1; 0; 0 |] ~t:2 ~seed:4 in
+  check_bool "t = n - 1 runs" true o.Async.Engine.all_decided
 
 let test_step_cap () =
   (* A ping-pong protocol that never decides. *)
@@ -124,6 +129,38 @@ let test_decision_discipline () =
             ~t:0 ~rng:(Prng.Rng.create 6));
        false
      with Async.Engine.Decision_changed _ -> true)
+
+let test_touched_logarithmic () =
+  (* The pending store's work per step under fair Ben-Or stays within
+     c * log2(max in flight) while the population (and with it P) grows. *)
+  List.iter
+    (fun n ->
+      let t = (n - 1) / 2 in
+      let max_p = ref 0 in
+      let fair =
+        {
+          Async.Scheduler.fair with
+          pick =
+            (fun view rng ->
+              max_p := Int.max !max_p view.Async.Scheduler.pending_count;
+              Async.Scheduler.fair.Async.Scheduler.pick view rng);
+        }
+      in
+      let o =
+        Async.Engine.run (Async.Benor.protocol ~t) fair
+          ~inputs:(Prng.Sample.random_bits (Prng.Rng.create n) n)
+          ~t ~rng:(Prng.Rng.create (100 + n))
+      in
+      let per_step =
+        float_of_int o.Async.Engine.pending_touched
+        /. float_of_int o.Async.Engine.steps
+      in
+      let bound = 6.0 *. Float.log2 (float_of_int !max_p) in
+      check_bool
+        (Printf.sprintf "n=%d: %.1f touched/step <= %.1f (max P %d)" n
+           per_step bound !max_p)
+        true (per_step <= bound))
+    [ 6; 8; 10; 12; 14; 16 ]
 
 (* --- Ben-Or ----------------------------------------------------------------- *)
 
@@ -212,6 +249,8 @@ let suites =
         tc "fifo deterministic" test_fifo_deterministic;
         tc "crash drops messages" test_crash_drops_messages;
         tc "crash budget enforced" test_crash_budget_enforced;
+        tc "budget below n" test_budget_below_n;
+        tc "pending work is logarithmic" test_touched_logarithmic;
         tc "step cap" test_step_cap;
         tc "decision discipline" test_decision_discipline;
       ] );

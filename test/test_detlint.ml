@@ -59,9 +59,17 @@ let test_r5_extended_scope () =
   check_strings "fires under lib/coinflip" [ "R5" ]
     (rules (violations (lint ~relpath:"lib/coinflip/bad_r5.ml" "bad_r5.ml")))
 
+let test_r5_async_scope () =
+  (* lib/async joined once its pending store and splitter were rewritten
+     with monomorphic comparisons. *)
+  check_strings "fires under lib/async" [ "R5" ]
+    (rules (violations (lint ~relpath:"lib/async/bad_r5.ml" "bad_r5.ml")));
+  check_strings "tuple comparisons under lib/async" [ "R5" ]
+    (rules
+       (violations (lint ~relpath:"lib/async/bad_r5_tuple.ml" "bad_r5_tuple.ml")))
+
 let test_r5_scoped () =
-  (* The same files outside the four scoped libraries are not R5's
-     business. *)
+  (* The same files outside the scoped libraries are not R5's business. *)
   let fs = lint "bad_r5.ml" in
   check_strings "clean outside scope" [] (rules fs);
   check_strings "tuple fixture clean outside scope" []
@@ -438,6 +446,7 @@ let suites =
         tc "R5 fires on polymorphic compare/=" test_r5_fires;
         tc "R5 fires on tuple-literal comparisons" test_r5_tuple_fires;
         tc "R5 covers lib/coinflip" test_r5_extended_scope;
+        tc "R5 covers lib/async" test_r5_async_scope;
         tc "R5 is scoped to the four hot-path libraries" test_r5_scoped;
         tc "R6 fires on Obs.Clock outside the quarantine" test_r6_fires;
         tc "R6 exempts lib/obs and bench" test_r6_scoped;

@@ -21,11 +21,11 @@
        referenced inside a closure literal passed to [Domain.spawn] or a
        [Sim.Parallel] entry point.
    R5  polymorphic comparison inside the determinism-critical hot-path
-       libraries [lib/stats], [lib/sim], [lib/core] and [lib/coinflip]: any
-       bare [compare] (use [Float.compare] / [Int.compare]), [=] / [<>]
-       where an operand is syntactically float-valued, and any comparison
-       operator applied to a tuple literal (spell the lexicographic
-       comparison out per component).
+       libraries [lib/stats], [lib/sim], [lib/core], [lib/coinflip] and
+       [lib/async]: any bare [compare] (use [Float.compare] /
+       [Int.compare]), [=] / [<>] where an operand is syntactically
+       float-valued, and any comparison operator applied to a tuple
+       literal (spell the lexicographic comparison out per component).
    R6  no direct [Obs.Clock.*] use outside [lib/obs] and [bench]: the
        diagnostic timing quarantine. [Obs.Clock] is the one sanctioned
        wall-clock entry point (its own R2 waiver documents why); keeping
@@ -103,7 +103,7 @@ let rule_doc = function
   | "R4" -> "module-level mutable state captured by a parallel closure"
   | "R5" ->
       "polymorphic compare/= at float type/tuple comparison in lib/stats, \
-       lib/sim, lib/core or lib/coinflip"
+       lib/sim, lib/core, lib/coinflip or lib/async"
   | "R6" ->
       "direct Obs.Clock use outside lib/obs and bench (the diagnostic \
        timing quarantine)"
@@ -233,6 +233,7 @@ let in_scope_r5 relpath =
   || has_prefix ~prefix:"lib/sim/" relpath
   || has_prefix ~prefix:"lib/core/" relpath
   || has_prefix ~prefix:"lib/coinflip/" relpath
+  || has_prefix ~prefix:"lib/async/" relpath
 
 (* The timing quarantine: Obs.Clock may only be touched from inside the
    observability library itself and the bench harness. *)
