@@ -17,9 +17,9 @@
    single-core machine, where it could only measure domain overhead).
 
    Part 2b — delivery hot path ("--hotpath-only" runs just this): ns/round
-   of Engine.step for SynRan at n in {64, 256, 1024, 4096}, aggregate fast
-   path vs legacy materialized exchange, written to
-   results/bench_hotpath.json.
+   of Engine.step for SynRan at n in {64, 256, 1024, 4096}, the engine's
+   shared-fold delivery vs Sim_reference's materialized exchange, written
+   to results/bench_hotpath.json.
 
    Part 2c — bit-packed kernel ("--bitkernel-only" runs just this):
    ns/round of Sim.Bitkernel vs the concrete aggregate fast path for
@@ -224,13 +224,14 @@ let parallel_bench () =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Part 2b: delivery hot path (aggregate fast path vs legacy)          *)
+(* Part 2b: delivery hot path (engine vs materialized reference)      *)
 (* ------------------------------------------------------------------ *)
 
-(* ns/round of [Engine.step] for SynRan under the null adversary, fast
-   (aggregate delivery) vs legacy (materialized per-receiver arrays), so
-   future PRs can diff regressions. Honest rounds are O(n) on the fast path
-   and O(n^2) on the legacy one, hence the per-size repeat counts. *)
+(* ns/round for SynRan under the null adversary, fast ([Engine.step]'s
+   shared fold) vs legacy ([Sim_reference]'s materialized per-receiver
+   arrays), so regressions can be diffed. Honest rounds are O(n) on the
+   fast path and O(n^2) on the reference, hence the per-size repeat
+   counts. *)
 let hotpath_bench () =
   let now () =
     (Unix.gettimeofday
@@ -249,12 +250,10 @@ let hotpath_bench () =
      reported speedup between runs. Both legs execute identical trials, so
      the adaptive trial count agrees across legs by construction. *)
   let min_rounds = 24 in
-  let measure protocol n reps =
+  let measure run n reps =
     let trial i =
       let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + i)) n in
-      (Sim.Engine.run protocol Sim.Adversary.null ~inputs ~t:0
-         ~rng:(Prng.Rng.create (100 + i)))
-        .Sim.Engine.rounds_executed
+      (run ~inputs ~rng:(Prng.Rng.create (100 + i))).Sim.Engine.rounds_executed
     in
     ignore (trial 0 : int);
     let rounds = ref 0 and trials = ref 0 in
@@ -270,9 +269,11 @@ let hotpath_bench () =
     List.map
       (fun (n, reps) ->
         let p = Core.Synran.protocol n in
-        let fast_dt, fast_rounds, fast_trials = measure p n reps in
+        let fast_dt, fast_rounds, fast_trials =
+          measure (Sim.Engine.run p Sim.Adversary.null ~t:0) n reps
+        in
         let legacy_dt, legacy_rounds, legacy_trials =
-          measure (Sim.Protocol.legacy p) n reps
+          measure (Sim_reference.run p Sim.Adversary.null ~t:0) n reps
         in
         if fast_rounds <> legacy_rounds || fast_trials <> legacy_trials then
           failwith
@@ -306,8 +307,8 @@ let hotpath_bench () =
   Printf.fprintf oc
     "{\n\
     \  \"workload\": \"synran vs null adversary, random-bit inputs, seed \
-     %d; ns/round of Engine.step, aggregate fast path vs legacy \
-     materialized exchange\",\n\
+     %d; ns/round of Engine.step (fast) vs Sim_reference's materialized \
+     exchange (legacy)\",\n\
     \  \"rows\": [\n%s\n\
     \  ]\n\
      }\n"

@@ -1,9 +1,9 @@
-(* Fast-path smoke test: one quick aggregate-vs-legacy equivalence
+(* Delivery smoke test: one quick engine-vs-reference equivalence
    workload, wired into tier-1 as `dune build @bench-smoke` (a dep of
    @runtest). Exits non-zero on any divergence between the engine's
-   aggregate delivery and the legacy materialized exchange, so a fast-path
-   regression fails plain `dune runtest` — the QCheck differential
-   properties in test_delivery.ml then localize it. The bitkernel leg
+   shared-fold delivery and Sim_reference's materialized exchange, so a
+   delivery regression fails plain `dune runtest` — the QCheck
+   differential properties in test_delivery.ml then localize it. The bitkernel leg
    replays the same discipline against the bit-packed engine (outcomes,
    traces, metrics digest, event-stream digest — any byte of difference
    fails tier-1).
@@ -32,15 +32,16 @@ let outcomes_equal (a : Sim.Engine.outcome) (b : Sim.Engine.outcome) =
   && Option.map Sim.Trace.records a.trace = Option.map Sim.Trace.records b.trace
 
 let compare_runs name protocol adversary ~n ~t ~seed =
-  let run p adv =
-    let rng = Prng.Rng.create seed in
-    let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
-    Sim.Engine.run ~record_trace:true ~max_rounds:2000 p (adv ()) ~inputs ~t
-      ~rng
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+  let engine =
+    Sim.Engine.run ~record_trace:true ~max_rounds:2000 protocol (adversary ())
+      ~inputs ~t ~rng:(Prng.Rng.create seed)
   in
-  let fast = run protocol adversary in
-  let legacy = run (Sim.Protocol.legacy protocol) adversary in
-  check name (outcomes_equal fast legacy)
+  let reference =
+    Sim_reference.run ~record_trace:true ~max_rounds:2000 protocol
+      (adversary ()) ~inputs ~t ~rng:(Prng.Rng.create seed)
+  in
+  check name (outcomes_equal engine reference)
 
 let obs_smoke () =
   let n = 32 and trials = 40 and seed = 7 in
@@ -314,4 +315,4 @@ let () =
     Printf.eprintf "bench-smoke: %d divergence(s)\n" !failures;
     exit 1
   end;
-  print_endline "bench-smoke: fast path and legacy path agree"
+  print_endline "bench-smoke: engine and reference delivery agree"

@@ -75,14 +75,18 @@ let protocol ~rounds ?(default = 0) () =
       early;
     }
   in
-  Sim.Protocol.with_aggregate
-    ~name:(Printf.sprintf "early-floodset[r=%d]" rounds)
-    ~init ~phase_a
-    ~decision:(fun s -> s.decision)
-    ~halted:(fun s -> Option.is_some s.decision)
-    (Sim.Protocol.Aggregate
-       {
-         init = (fun () -> { saw_zero = false; saw_one = false; senders = IntSet.empty });
-         absorb;
-         finish;
-       })
+  {
+    Sim.Protocol.name = Printf.sprintf "early-floodset[r=%d]" rounds;
+    init;
+    phase_a;
+    decision = (fun s -> s.decision);
+    halted = (fun s -> Option.is_some s.decision);
+    aggregate =
+      Aggregate
+        {
+          init = (fun () -> { saw_zero = false; saw_one = false; senders = IntSet.empty });
+          absorb;
+          finish;
+        };
+    bitops = None;
+  }

@@ -95,17 +95,15 @@ let protocol ~rounds ?(default = 0) () =
         }
   in
   Sim.Protocol.with_bitops
-    (Sim.Protocol.with_aggregate
-       ~name:(Printf.sprintf "floodset[r=%d]" rounds)
-       ~init ~phase_a
-       ~decision:(fun s -> s.decision)
-       ~halted:(fun s -> Option.is_some s.decision)
-       (Sim.Protocol.Aggregate
-          {
-            init = (fun () -> (false, false));
-            absorb;
-            finish;
-          }))
+    {
+      Sim.Protocol.name = Printf.sprintf "floodset[r=%d]" rounds;
+      init;
+      phase_a;
+      decision = (fun s -> s.decision);
+      halted = (fun s -> Option.is_some s.decision);
+      aggregate = Aggregate { init = (fun () -> (false, false)); absorb; finish };
+      bitops = None;
+    }
     {
       Sim.Protocol.bo_width = 2;
       bo_pack;

@@ -1,3 +1,5 @@
+module Int_map = Map.Make (Int)
+
 type state = { n : int; value : int; outcome : int option }
 
 let outcome s = s.outcome
@@ -16,44 +18,49 @@ let phase_a_of_sample sample = fun s rng ->
   let v = sample rng in
   ({ s with value = v }, v)
 
-let of_eval ?(sample = Prng.Rng.bit) ~name ~eval n =
-  if n < 1 then invalid_arg "Sim_game.of_eval";
-  (* Generic bridge: rebuild the game's masked value vector (hidden/killed
-     players are [None]) and apply [eval] — necessarily the legacy
-     materialized exchange, since an arbitrary [eval] is not a fold. *)
-  let phase_b s ~round:_ ~received =
-    let masked = Array.make s.n None in
-    Array.iter (fun (pid, v) -> masked.(pid) <- Some v) received;
-    { s with outcome = Some (eval masked) }
-  in
+let make ?(sample = Prng.Rng.bit) ~name n aggregate =
   {
     Sim.Protocol.name;
     init = init_state ~game_name:name n;
     phase_a = phase_a_of_sample sample;
-    phase_b;
     decision = outcome;
     halted = (fun s -> Option.is_some s.outcome);
-    aggregate = None;
+    aggregate;
     bitops = None;
   }
+
+let of_eval ?sample ~name ~eval n =
+  if n < 1 then invalid_arg "Sim_game.of_eval";
+  (* Generic bridge: an arbitrary [eval] is not a fold, so collect the
+     delivered values in a pid-keyed persistent map (the same map whatever
+     the absorb order), then rebuild the game's masked value vector
+     (hidden/killed players are [None]) and apply [eval]. *)
+  let finish s ~round:_ heard =
+    let masked = Array.make s.n None in
+    Int_map.iter (fun pid v -> masked.(pid) <- Some v) heard;
+    { s with outcome = Some (eval masked) }
+  in
+  make ?sample ~name n
+    (Sim.Protocol.Aggregate
+       {
+         init = (fun () -> Int_map.empty);
+         absorb = (fun heard ~pid v -> Int_map.add pid v heard);
+         finish;
+       })
 
 let of_game (g : Game.t) =
   (* Per-player sampling replaces [g.sample]'s vector draw, so outcomes
      match [Game.play] in distribution, not coin-for-coin. *)
   of_eval ~name:("sim:" ^ g.name) ~eval:g.eval g.n
 
-(* Counting games collapse a round to (sum, present) — a commutative fold,
-   so these run on the engine's shared-aggregate fast path. *)
-let of_tally ?(sample = Prng.Rng.bit) ~name ~decide n =
+(* Counting games collapse a round to (sum, present), a commutative fold
+   over plain ints. *)
+let of_tally ?sample ~name ~decide n =
   if n < 1 then invalid_arg "Sim_game.of_tally";
   let finish s ~round:_ (sum, present) =
     { s with outcome = Some (decide ~n:s.n ~sum ~present) }
   in
-  Sim.Protocol.with_aggregate ~name
-    ~init:(init_state ~game_name:name n)
-    ~phase_a:(phase_a_of_sample sample)
-    ~decision:outcome
-    ~halted:(fun s -> Option.is_some s.outcome)
+  make ?sample ~name n
     (Sim.Protocol.Aggregate
        {
          init = (fun () -> (0, 0));

@@ -11,9 +11,9 @@
     per-receiver delivery is strictly richer than the one-shot game model).
 
     The counting games ([majority0], [majority_ignore_missing], [parity],
-    [sum_mod]) declare a (sum, present) aggregate and run on the engine's
-    shared-broadcast fast path; {!of_eval}/{!of_game} accept an arbitrary
-    game function and use the legacy materialized exchange. *)
+    [sum_mod]) fold the round into (sum, present); {!of_eval}/{!of_game}
+    accept an arbitrary game function and fold into a persistent
+    pid-to-value map, from which [finish] rebuilds the masked vector. *)
 
 type state
 

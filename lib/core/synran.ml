@@ -411,17 +411,19 @@ let protocol ?(rules = Onesided.paper) ?(coin = Local_flip) n =
     | Deterministic { left } -> step_deterministic s ~left ~acc
   in
   Sim.Protocol.with_bitops
-    (Sim.Protocol.with_aggregate
-       ~name:
-         (Printf.sprintf "synran[%s%s,n=%d]" rules.Onesided.label
-            (match coin with
-            | Local_flip -> ""
-            | Leader_priority -> ",leader"
-            | Shared_oracle _ -> ",oracle")
-            n)
-       ~init ~phase_a
-       ~decision:(fun s -> s.output)
-       ~halted:(fun s -> s.halted)
-       (Sim.Protocol.Aggregate
-          { init = acc_init; absorb = acc_absorb; finish }))
+    {
+      Sim.Protocol.name =
+        Printf.sprintf "synran[%s%s,n=%d]" rules.Onesided.label
+          (match coin with
+          | Local_flip -> ""
+          | Leader_priority -> ",leader"
+          | Shared_oracle _ -> ",oracle")
+          n;
+      init;
+      phase_a;
+      decision = (fun s -> s.output);
+      halted = (fun s -> s.halted);
+      aggregate = Aggregate { init = acc_init; absorb = acc_absorb; finish };
+      bitops = None;
+    }
     bitops

@@ -9,38 +9,25 @@
    transition is a handful of plane blits.  Rounds the adversary
    individuates (kills, partial deliveries) or whose branch needs
    per-process data ([bo_step] returns [None]) materialize the scalar
-   states and run through the exact Engine delivery path, then re-pack
-   when uniformity returns.
+   states and run through Engine's own Phase B, then re-pack when
+   uniformity returns.
 
-   Byte-identity with Engine is the contract: outcomes, traces, the
-   event stream (Decisions ascending by pid, Kills in plan order, one
-   Round summary), the exception discipline, and RNG consumption — each
-   process's stream sees exactly the scalar draws (the coin bit, then
-   the aux draws), and the adversary stream is split in the same order
-   at start. *)
+   The scalar state is an [Engine.exec] built by [Engine.start], so input
+   checks, the trace/sink tee, the RNG split order, kill validation, the
+   decision discipline and the outcome are Engine's code. Byte-identity
+   with Engine is the contract for the packed rounds too: outcomes,
+   traces, the event stream (Decisions ascending by pid, Kills in plan
+   order, one Round summary), the exception discipline, and RNG
+   consumption — each process's stream sees exactly the scalar draws
+   (the coin bit, then the aux draws). *)
 
 type ('state, 'msg) exec = {
-  protocol : ('state, 'msg) Protocol.t;
+  sc : ('state, 'msg) Engine.exec;
+      (* The scalar state. In packed mode, [states] entries of ACTIVE
+         processes are stale (the truth is template + planes) while
+         entries of halted/dead processes stay valid forever. *)
   bo : ('state, 'msg) Protocol.bitops;
-  agg : ('state, 'msg) Protocol.aggregate;
-  n : int;
-  t : int;
   nw : int;  (* Bitwords.words_for n *)
-  (* Scalar-mode state; in packed mode, [states] entries of ACTIVE
-     processes are stale (the truth is template + planes) while entries
-     of halted/dead processes stay valid forever. *)
-  states : 'state array;
-  alive : bool array;
-  halted : bool array;
-  decisions : int option array;
-  decision_round : int array;  (* -1 = undecided *)
-  proc_rngs : Prng.Rng.t array;
-  mutable adv_rng : Prng.Rng.t;
-  mutable round : int;
-  mutable kills_used : int;
-  trace : Trace.t option;
-  sink : Obs.Sink.t;
-  observer : ('msg -> bool) option;
   (* Packed representation. *)
   mutable packed : bool;
   mutable template : 'state;
@@ -53,31 +40,15 @@ type ('state, 'msg) exec = {
          = None reproduce Engine's revocation check without a scan. *)
   priv : int array;  (* per-process aux payload of the current round *)
   tallies : int array;  (* scratch, length bo_width *)
-  (* Round-scoped scalar scratch, as in Engine. *)
-  pending : 'msg option array;
-  killed : bool array;
-  kill_seen : bool array;
   (* Instrumentation for bench and tests. *)
   mutable packed_rounds : int;
   mutable scalar_rounds : int;
 }
 
-let active_at e i = e.alive.(i) && not e.halted.(i)
+let active_at e i = e.sc.Engine.alive.(i) && not e.sc.Engine.halted.(i)
 
 let active_count e =
-  if e.packed then e.active_cnt
-  else begin
-    let c = ref 0 in
-    for i = 0 to e.n - 1 do
-      if active_at e i then incr c
-    done;
-    !c
-  end
-
-let alive_count e =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 e.alive
-
-let budget_left e = e.t - e.kills_used
+  if e.packed then e.active_cnt else Engine.active_count e.sc
 
 (* Gather process i's packed registers from the current planes. *)
 let regs_at e i =
@@ -91,7 +62,7 @@ let unpack_at e i = e.bo.Protocol.bo_unpack e.template (regs_at e i)
 
 let first_active e =
   let rec go i =
-    if i >= e.n then invalid_arg "Bitkernel: no active process"
+    if i >= e.sc.Engine.n then invalid_arg "Bitkernel: no active process"
     else if active_at e i then i
     else go (i + 1)
   in
@@ -101,18 +72,19 @@ let first_active e =
    non-register fields. Cheap to attempt (one O(active) scan); packing
    itself is O(active * width) bit writes. *)
 let try_pack e =
+  let sc = e.sc in
   if not e.packed then begin
     match
       (* First active pid, if any. *)
-      let rec go i = if i >= e.n then None else if active_at e i then Some i else go (i + 1) in
+      let rec go i = if i >= sc.n then None else if active_at e i then Some i else go (i + 1) in
       go 0
     with
     | None -> ()
     | Some j0 ->
-        let tmpl = e.states.(j0) in
+        let tmpl = sc.states.(j0) in
         let uniform = ref true in
-        for i = j0 + 1 to e.n - 1 do
-          if active_at e i && not (e.bo.Protocol.bo_uniform tmpl e.states.(i)) then
+        for i = j0 + 1 to sc.n - 1 do
+          if active_at e i && not (e.bo.Protocol.bo_uniform tmpl sc.states.(i)) then
             uniform := false
         done;
         if !uniform then begin
@@ -121,11 +93,11 @@ let try_pack e =
             Array.fill e.cur.(r) 0 e.nw 0
           done;
           let cnt = ref 0 in
-          for i = 0 to e.n - 1 do
+          for i = 0 to sc.n - 1 do
             if active_at e i then begin
               incr cnt;
               Bitwords.set e.amask i true;
-              let bits = e.bo.Protocol.bo_pack e.states.(i) in
+              let bits = e.bo.Protocol.bo_pack sc.states.(i) in
               for r = 0 to e.bo.Protocol.bo_width - 1 do
                 if (bits lsr r) land 1 = 1 then Bitwords.set e.cur.(r) i true
               done
@@ -133,13 +105,12 @@ let try_pack e =
           done;
           e.template <- tmpl;
           e.active_cnt <- !cnt;
-          e.any_active_decided <- Option.is_some e.decisions.(j0);
+          e.any_active_decided <- Option.is_some sc.decisions.(j0);
           e.packed <- true
         end
   end
 
-let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
-    ~inputs ~t ~rng =
+let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
   let bo =
     match protocol.Protocol.bitops with
     | Some bo -> bo
@@ -148,57 +119,16 @@ let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
           (Printf.sprintf "Bitkernel.start: protocol %s declares no bitops"
              protocol.Protocol.name)
   in
-  let agg =
-    match protocol.Protocol.aggregate with
-    | Some a -> a
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Bitkernel.start: protocol %s declares no aggregate"
-             protocol.Protocol.name)
-  in
-  let n = Array.length inputs in
-  if n = 0 then invalid_arg "Bitkernel.start: no processes";
-  if t < 0 || t > n then invalid_arg "Bitkernel.start: budget out of [0, n]";
-  Array.iter
-    (fun b ->
-      if b <> 0 && b <> 1 then invalid_arg "Bitkernel.start: inputs must be bits")
-    inputs;
-  let trace = if record_trace then Some (Trace.create ~n) else None in
-  let sink =
-    match trace with None -> sink | Some tr -> Obs.Sink.tee (Trace.sink tr) sink
-  in
-  (* Engine.start's record literal evaluates right-to-left, so its
-     adversary split happens BEFORE the per-process split_n. Replicate
-     that order explicitly — byte-identical RNG consumption depends on
-     it. *)
-  let adv_rng = Prng.Rng.split rng in
-  let proc_rngs = Prng.Rng.split_n rng n in
+  let sc = Engine.start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
+  let n = sc.Engine.n in
   let nw = Bitwords.words_for n in
-  let states =
-    Array.mapi (fun pid input -> protocol.Protocol.init ~n ~pid ~input) inputs
-  in
   let e =
     {
-      protocol;
+      sc;
       bo;
-      agg;
-      n;
-      t;
       nw;
-      states;
-      alive = Array.make n true;
-      halted = Array.make n false;
-      decisions = Array.make n None;
-      decision_round = Array.make n (-1);
-      proc_rngs;
-      adv_rng;
-      round = 0;
-      kills_used = 0;
-      trace;
-      sink;
-      observer;
       packed = false;
-      template = states.(0);
+      template = sc.states.(0);
       cur = Array.init bo.Protocol.bo_width (fun _ -> Array.make nw 0);
       nxt = Array.init bo.Protocol.bo_width (fun _ -> Array.make nw 0);
       amask = Array.make nw 0;
@@ -206,9 +136,6 @@ let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
       any_active_decided = false;
       priv = Array.make n 0;
       tallies = Array.make bo.Protocol.bo_width 0;
-      pending = Array.make n None;
-      killed = Array.make n false;
-      kill_seen = Array.make n false;
       packed_rounds = 0;
       scalar_rounds = 0;
     }
@@ -222,40 +149,15 @@ let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
    every active process from the planes. Halted/dead entries were never
    invalidated. *)
 let materialize e =
+  let sc = e.sc in
   if e.packed then begin
-    Array.fill e.pending 0 e.n None;
+    Array.fill sc.pending 0 sc.n None;
     Bitwords.iter_ones e.amask e.nw (fun i ->
         let s = unpack_at e i in
-        e.states.(i) <- s;
-        e.pending.(i) <- Some (e.bo.Protocol.bo_msg s ~priv:e.priv.(i)));
+        sc.states.(i) <- s;
+        sc.pending.(i) <- Some (e.bo.Protocol.bo_msg s ~priv:e.priv.(i)));
     e.packed <- false
   end
-
-let validate_kills e kills =
-  let seen = e.kill_seen in
-  Array.fill seen 0 e.n false;
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      if victim < 0 || victim >= e.n then
-        raise (Engine.Invalid_kill (Printf.sprintf "victim %d out of range" victim));
-      if not (active_at e victim) then
-        raise (Engine.Invalid_kill (Printf.sprintf "victim %d is not active" victim));
-      if seen.(victim) then
-        raise (Engine.Invalid_kill (Printf.sprintf "victim %d named twice" victim));
-      seen.(victim) <- true;
-      List.iter
-        (fun r ->
-          if r < 0 || r >= e.n then
-            raise
-              (Engine.Invalid_kill (Printf.sprintf "recipient %d out of range" r)))
-        deliver_to)
-    kills;
-  let count = List.length kills in
-  if count > budget_left e then
-    raise
-      (Engine.Budget_exceeded
-         (Printf.sprintf "round %d: %d kills requested, %d left" (e.round + 1)
-            count (budget_left e)))
 
 (* Phase A at word granularity: the coin register is filled by one
    Rng.bit per active lane (ascending — coin_word's order), then the aux
@@ -263,11 +165,12 @@ let validate_kills e kills =
    the two-pass order byte-identical to the scalar interleaved loop:
    each stream still sees its coin bit first, then its aux draws. *)
 let packed_phase_a e =
+  let proc_rngs = e.sc.Engine.proc_rngs in
   (match e.bo.Protocol.bo_coin_reg with
   | None -> ()
   | Some r ->
       let plane = e.cur.(r) in
-      let rng_of k = e.proc_rngs.(k) in
+      let rng_of k = proc_rngs.(k) in
       for w = 0 to e.nw - 1 do
         plane.(w) <-
           Prng.Sample.coin_word ~rng_of ~base:(w * Bitwords.lanes)
@@ -277,18 +180,19 @@ let packed_phase_a e =
   | None -> ()
   | Some f ->
       Bitwords.iter_ones e.amask e.nw (fun i ->
-          e.priv.(i) <- f e.template e.proc_rngs.(i))
+          e.priv.(i) <- f e.template proc_rngs.(i))
 
 (* The whole uniform Phase B in word operations. [round] is the 1-based
    round being executed; planes hold the post-Phase-A values. *)
 let packed_phase_b e ws round =
-  let emit_on = Obs.Sink.enabled e.sink in
+  let sc = e.sc in
+  let emit_on = Obs.Sink.enabled sc.sink in
   (* ones_pending reads the staged messages, i.e. the pre-transition
      planes — compute it before they are overwritten. *)
   let ones =
     if not emit_on then None
     else
-      match e.observer with
+      match sc.observer with
       | None -> None
       | Some f ->
           let c = ref 0 in
@@ -315,15 +219,14 @@ let packed_phase_b e ws round =
   e.cur <- e.nxt;
   e.nxt <- old;
   e.template <- ws.Protocol.ws_state;
-  (* Decision discipline, exactly Engine's [commit] checks. Decide
-     sources read the post-transition planes, like the scalar
-     [decision state']. *)
+  (* Decision discipline, exactly Engine's checks. Decide sources read
+     the post-transition planes, like the scalar [decision state']. *)
   let newly_decided = ref 0 in
   (match ws.Protocol.ws_decide with
   | None ->
       if e.any_active_decided then begin
         let j = first_active e in
-        let v = Option.get e.decisions.(j) in
+        let v = Option.get sc.decisions.(j) in
         raise
           (Engine.Decision_changed
              (Printf.sprintf "process %d revoked decision %d" j v))
@@ -335,7 +238,7 @@ let packed_phase_b e ws round =
             | Protocol.Decide_const c -> c
             | Protocol.Decide_reg r -> if Bitwords.get e.cur.(r) j then 1 else 0
           in
-          match e.decisions.(j) with
+          match sc.decisions.(j) with
           | Some v0 when v0 <> v ->
               raise
                 (Engine.Decision_changed
@@ -343,10 +246,10 @@ let packed_phase_b e ws round =
           | Some _ -> ()
           | None ->
               incr newly_decided;
-              e.decision_round.(j) <- round;
-              e.decisions.(j) <- Some v;
+              sc.decision_round.(j) <- round;
+              sc.decisions.(j) <- Some v;
               if emit_on then
-                Obs.Sink.emit e.sink
+                Obs.Sink.emit sc.sink
                   (Obs.Event.Decision
                      { engine = Obs.Event.Sync; round; pid = j; value = v }));
       e.any_active_decided <- true);
@@ -363,15 +266,15 @@ let packed_phase_b e ws round =
        later view/state reads of halted processes stay valid. *)
     Bitwords.iter_ones e.amask e.nw (fun j ->
         incr newly_halted;
-        e.halted.(j) <- true;
-        e.states.(j) <- unpack_at e j);
+        sc.halted.(j) <- true;
+        sc.states.(j) <- unpack_at e j);
     Array.fill e.amask 0 e.nw 0;
     e.active_cnt <- 0
   end;
-  e.round <- round;
+  sc.round <- round;
   e.packed_rounds <- e.packed_rounds + 1;
   if emit_on then
-    Obs.Sink.emit e.sink
+    Obs.Sink.emit sc.sink
       (Obs.Event.Round
          {
            engine = Obs.Event.Sync;
@@ -386,209 +289,30 @@ let packed_phase_b e ws round =
            ones_pending = ones;
          })
 
-(* The Engine-equivalent scalar round half: Phase A has already run
-   (either packed_phase_a + materialize, or scalar staging below), the
-   kills are validated; deliver, commit, apply kills, emit. This is a
-   line-for-line port of Engine.step's aggregate paths. *)
-let scalar_phase_b e kills round =
-  let pending = e.pending in
-  let killed = e.killed in
-  Array.fill killed 0 e.n false;
-  let partial = Hashtbl.create 8 in
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      killed.(victim) <- true;
-      if deliver_to <> [] then begin
-        let mask = Array.make e.n false in
-        List.iter (fun r -> mask.(r) <- true) deliver_to;
-        Hashtbl.replace partial victim mask
-      end)
-    kills;
-  let delivered = ref 0 in
-  let newly_decided = ref 0 in
-  let newly_halted = ref 0 in
-  let emit_on = Obs.Sink.enabled e.sink in
-  let commit j state' =
-    let before = e.decisions.(j) in
-    let after = e.protocol.Protocol.decision state' in
-    (match (before, after) with
-    | Some v, Some v' when v <> v' ->
-        raise
-          (Engine.Decision_changed
-             (Printf.sprintf "process %d changed decision %d -> %d" j v v'))
-    | Some v, None ->
-        raise
-          (Engine.Decision_changed
-             (Printf.sprintf "process %d revoked decision %d" j v))
-    | None, Some v ->
-        incr newly_decided;
-        e.decision_round.(j) <- round;
-        if emit_on then
-          Obs.Sink.emit e.sink
-            (Obs.Event.Decision
-               { engine = Obs.Event.Sync; round; pid = j; value = v })
-    | None, None | Some _, Some _ -> ());
-    e.decisions.(j) <- after;
-    if e.protocol.Protocol.halted state' && not e.halted.(j) then begin
-      if after = None then
-        raise
-          (Engine.Decision_changed
-             (Printf.sprintf "process %d halted without deciding" j));
-      incr newly_halted;
-      e.halted.(j) <- true
-    end;
-    e.states.(j) <- state'
-  in
-  let (Protocol.Aggregate a) = e.agg in
-  if kills = [] then begin
-    let acc = ref (a.init ()) in
-    let nsenders = ref 0 in
-    for i = 0 to e.n - 1 do
-      match pending.(i) with
-      | None -> ()
-      | Some m ->
-          acc := a.absorb !acc ~pid:i m;
-          incr nsenders
-    done;
-    let shared = !acc in
-    for j = 0 to e.n - 1 do
-      if active_at e j then begin
-        delivered := !delivered + !nsenders;
-        commit j (a.finish e.states.(j) ~round shared)
-      end
-    done
-  end
-  else begin
-    let base = ref (a.init ()) in
-    let nsurvivors = ref 0 in
-    for i = 0 to e.n - 1 do
-      match pending.(i) with
-      | Some m when not killed.(i) ->
-          base := a.absorb !base ~pid:i m;
-          incr nsurvivors
-      | _ -> ()
-    done;
-    let base = !base in
-    let delta = Array.make e.n [] in
-    for i = 0 to e.n - 1 do
-      if killed.(i) then
-        match (pending.(i), Hashtbl.find_opt partial i) with
-        | Some m, Some mask ->
-            for j = 0 to e.n - 1 do
-              if mask.(j) then delta.(j) <- (i, m) :: delta.(j)
-            done
-        | _ -> ()
-    done;
-    for j = 0 to e.n - 1 do
-      if active_at e j && not killed.(j) then begin
-        let acc = ref base in
-        List.iter
-          (fun (i, m) ->
-            acc := a.absorb !acc ~pid:i m;
-            incr delivered)
-          delta.(j);
-        delivered := !delivered + !nsurvivors;
-        commit j (a.finish e.states.(j) ~round !acc)
-      end
-    done
-  end;
-  let kill_count = ref 0 and partial_count = ref 0 in
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      e.alive.(victim) <- false;
-      incr kill_count;
-      if deliver_to <> [] then incr partial_count;
-      if emit_on then
-        Obs.Sink.emit e.sink
-          (Obs.Event.Kill
-             {
-               engine = Obs.Event.Sync;
-               round;
-               victim;
-               delivered_to = List.length deliver_to;
-             }))
-    kills;
-  e.kills_used <- e.kills_used + !kill_count;
-  e.round <- round;
-  e.scalar_rounds <- e.scalar_rounds + 1;
-  if emit_on then begin
-    let ones =
-      match e.observer with
-      | None -> None
-      | Some f ->
-          Some
-            (Array.fold_left
-               (fun acc m -> match m with Some m when f m -> acc + 1 | _ -> acc)
-               0 pending)
-    in
-    let victims =
-      kills |> List.map (fun k -> k.Adversary.victim) |> List.sort Int.compare
-      |> Array.of_list
-    in
-    Obs.Sink.emit e.sink
-      (Obs.Event.Round
-         {
-           engine = Obs.Event.Sync;
-           round;
-           active =
-             Array.fold_left
-               (fun acc m -> if Option.is_some m then acc + 1 else acc)
-               0 pending;
-           victims;
-           partial_sends = !partial_count;
-           delivered = !delivered;
-           newly_decided = !newly_decided;
-           newly_halted = !newly_halted;
-           ones_pending = ones;
-         })
-  end
-
 let step e adversary =
   if active_count e = 0 then `Quiescent
   else begin
-    let round = e.round + 1 in
-    (* Phase A. *)
-    if e.packed then packed_phase_a e
-    else begin
-      let pending = e.pending in
-      Array.fill pending 0 e.n None;
-      for i = 0 to e.n - 1 do
-        if active_at e i then begin
-          let state', msg =
-            e.protocol.Protocol.phase_a e.states.(i) e.proc_rngs.(i)
-          in
-          e.states.(i) <- state';
-          pending.(i) <- Some msg
-        end
-      done
-    end;
-    (* The adversary's view: identical semantics to Engine's, with
-       packed-mode state/pending reconstructed on demand. *)
+    let sc = e.sc in
+    let round = sc.round + 1 in
+    if e.packed then packed_phase_a e else Engine.phase_a sc;
+    (* Engine's view, with packed-mode state/pending reconstructed on
+       demand. *)
     let view =
-      {
-        Adversary.round;
-        n = e.n;
-        t = e.t;
-        budget_left = budget_left e;
-        alive = (fun i -> e.alive.(i));
-        active = (fun i -> active_at e i);
-        state =
-          (fun i ->
-            if e.packed && active_at e i then unpack_at e i else e.states.(i));
-        pending =
-          (fun i ->
-            if e.packed then
+      let v = Engine.view sc ~round in
+      if not e.packed then v
+      else
+        {
+          v with
+          state =
+            (fun i -> if active_at e i then unpack_at e i else sc.states.(i));
+          pending =
+            (fun i ->
               if active_at e i then
                 Some (e.bo.Protocol.bo_msg (unpack_at e i) ~priv:e.priv.(i))
-              else None
-            else e.pending.(i));
-        decision = (fun i -> e.decisions.(i));
-      }
+              else None);
+        }
     in
-    let kills = adversary.Adversary.plan view e.adv_rng in
-    (* An empty plan is vacuously valid; skipping the check keeps clean
-       packed rounds free of the O(n) kill_seen fill. *)
-    if kills <> [] then validate_kills e kills;
+    let kills = adversary.Adversary.plan view sc.adv_rng in
     let batched =
       e.packed && kills = []
       &&
@@ -605,8 +329,9 @@ let step e adversary =
       | None -> false
     in
     if not batched then begin
-      if e.packed then materialize e;
-      scalar_phase_b e kills round;
+      materialize e;
+      Engine.phase_b sc kills ~round;
+      e.scalar_rounds <- e.scalar_rounds + 1;
       try_pack e
     end;
     `Continue
@@ -614,35 +339,12 @@ let step e adversary =
 
 let run_until e adversary ~max_rounds =
   let rec loop () =
-    if e.round >= max_rounds then ()
+    if e.sc.Engine.round >= max_rounds then ()
     else match step e adversary with `Quiescent -> () | `Continue -> loop ()
   in
   loop ()
 
-let outcome e =
-  let rounds_to_decide =
-    let vacuous = alive_count e = 0 in
-    if vacuous then Some e.round
-    else begin
-      let worst = ref 0 and all = ref true in
-      for i = 0 to e.n - 1 do
-        if e.alive.(i) then
-          if e.decision_round.(i) < 0 then all := false
-          else if e.decision_round.(i) > !worst then worst := e.decision_round.(i)
-      done;
-      if !all then Some !worst else None
-    end
-  in
-  {
-    Engine.rounds_executed = e.round;
-    rounds_to_decide;
-    decisions = Array.copy e.decisions;
-    faulty = Array.map not e.alive;
-    halted = Array.copy e.halted;
-    kills_used = e.kills_used;
-    quiescent = active_count e = 0;
-    trace = e.trace;
-  }
+let outcome e = Engine.outcome e.sc
 
 let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
     ~inputs ~t ~rng =
@@ -671,7 +373,7 @@ let run_batch ?(max_rounds = 10_000) protocol ~adversary_of ~inputs_of ~rng_of
     for i = 0 to trials - 1 do
       if live.(i) then begin
         let e = execs.(i) in
-        if e.round >= max_rounds then begin
+        if e.sc.Engine.round >= max_rounds then begin
           live.(i) <- false;
           decr remaining
         end
@@ -686,16 +388,16 @@ let run_batch ?(max_rounds = 10_000) protocol ~adversary_of ~inputs_of ~rng_of
   done;
   Array.map outcome execs
 
-let round (e : _ exec) = e.round
+let round e = Engine.round e.sc
 
-let n (e : _ exec) = e.n
+let n e = Engine.n e.sc
 
-let kills_used (e : _ exec) = e.kills_used
+let kills_used e = Engine.kills_used e.sc
 
-let is_packed (e : _ exec) = e.packed
+let is_packed e = e.packed
 
-let packed_rounds (e : _ exec) = e.packed_rounds
+let packed_rounds e = e.packed_rounds
 
-let scalar_rounds (e : _ exec) = e.scalar_rounds
+let scalar_rounds e = e.scalar_rounds
 
-let decisions (e : _ exec) = Array.copy e.decisions
+let decisions e = Engine.decisions e.sc

@@ -9,8 +9,9 @@
     O(n / word_size) cost instead of O(n). Rounds the adversary
     individuates (kills, partial deliveries) or whose branch needs
     per-process data (the protocol's [bo_step] returns [None])
-    materialize the scalar states, run through the exact {!Engine}
-    aggregate delivery path, and re-pack when uniformity returns.
+    materialize the scalar states, run {!Engine.phase_b}, and re-pack
+    when uniformity returns. The scalar state is an {!Engine.exec} built
+    by {!Engine.start}.
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream (Decisions ascending by pid, Kills in plan
@@ -23,9 +24,8 @@
     are unpacked on demand), so any concrete adversary — including
     adaptive ones — runs unchanged.
 
-    Protocols opt in by declaring {!Protocol.bitops} (and an aggregate,
-    which the kill-round fallback uses); {!start} refuses others —
-    callers fall back to {!Engine}. *)
+    Protocols opt in by declaring {!Protocol.bitops}; {!start} refuses
+    others — callers fall back to {!Engine}. *)
 
 type ('state, 'msg) exec
 
@@ -38,9 +38,11 @@ val start :
   t:int ->
   rng:Prng.Rng.t ->
   ('state, 'msg) exec
-(** Same contract as {!Engine.start}, including RNG split order and event
-    teeing. Raises [Invalid_argument] if the protocol declares no bitops
-    or no aggregate. *)
+(** {!Engine.start} plus packing: the same input checks, RNG split order
+    and event teeing. Like {!Engine.start} it accepts any [t] in
+    [\[0, n\]]; [t = n] is deliberate (the adversary may crash everyone,
+    and [rounds_to_decide] is then vacuous). Raises [Invalid_argument] if
+    the protocol declares no bitops. *)
 
 val step :
   ('state, 'msg) exec ->

@@ -52,6 +52,9 @@ let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
   let sink =
     match trace with None -> sink | Some tr -> Obs.Sink.tee (Trace.sink tr) sink
   in
+  (* The adversary's stream is split off first, then one per process. *)
+  let adv_rng = Prng.Rng.split rng in
+  let proc_rngs = Prng.Rng.split_n rng n in
   {
     protocol;
     n;
@@ -61,8 +64,8 @@ let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
     halted = Array.make n false;
     decisions = Array.make n None;
     decision_round = Array.make n (-1);
-    proc_rngs = Prng.Rng.split_n rng n;
-    adv_rng = Prng.Rng.split rng;
+    proc_rngs;
+    adv_rng;
     round = 0;
     kills_used = 0;
     trace;
@@ -112,225 +115,190 @@ let validate_kills e kills =
          (Printf.sprintf "round %d: %d kills requested, %d left" (e.round + 1)
             count (budget_left e)))
 
+let phase_a e =
+  let pending = e.pending in
+  Array.fill pending 0 e.n None;
+  for i = 0 to e.n - 1 do
+    if active_at e i then begin
+      let state', msg = e.protocol.Protocol.phase_a e.states.(i) e.proc_rngs.(i) in
+      e.states.(i) <- state';
+      pending.(i) <- Some msg
+    end
+  done
+
+(* Zero-copy: the accessors read the live arrays, which the engine does
+   not touch until [plan] returns. *)
+let view e ~round =
+  {
+    Adversary.round;
+    n = e.n;
+    t = e.t;
+    budget_left = budget_left e;
+    alive = (fun i -> e.alive.(i));
+    active = (fun i -> active_at e i);
+    state = (fun i -> e.states.(i));
+    pending = (fun i -> e.pending.(i));
+    decision = (fun i -> e.decisions.(i));
+  }
+
+let phase_b e kills ~round =
+  (* An empty plan is vacuously valid. *)
+  if kills <> [] then validate_kills e kills;
+  let pending = e.pending in
+  let killed = e.killed in
+  Array.fill killed 0 e.n false;
+  List.iter (fun k -> killed.(k.Adversary.victim) <- true) kills;
+  (* Receiver j gets sender i's message iff i was active and either
+     survived, or is j itself (own value is always counted), or was killed
+     but the adversary let the i->j message through. The survivors are
+     folded once into a base shared by every receiver; a partial send adds
+     a per-receiver delta on top, listed by descending victim id. Sound
+     because [absorb] is commutative (Protocol contract). *)
+  let deltas =
+    match List.filter (fun k -> k.Adversary.deliver_to <> []) kills with
+    | [] -> None
+    | partial ->
+        let d = Array.make e.n [] and seen = Array.make e.n false in
+        List.iter
+          (fun { Adversary.victim; deliver_to } ->
+            match pending.(victim) with
+            | None -> ()
+            | Some m ->
+                (* A recipient named twice still hears the victim once. *)
+                List.iter
+                  (fun j ->
+                    if not seen.(j) then begin
+                      seen.(j) <- true;
+                      d.(j) <- (victim, m) :: d.(j)
+                    end)
+                  deliver_to;
+                List.iter (fun j -> seen.(j) <- false) deliver_to)
+          (List.sort
+             (fun a b -> Int.compare a.Adversary.victim b.Adversary.victim)
+             partial);
+        Some d
+  in
+  let delivered = ref 0 in
+  let newly_decided = ref 0 in
+  let newly_halted = ref 0 in
+  (* One boolean load per round decides whether any event is built. *)
+  let emit_on = Obs.Sink.enabled e.sink in
+  (* Decision discipline, halting, counters. *)
+  let commit j state' =
+    let before = e.decisions.(j) in
+    let after = e.protocol.Protocol.decision state' in
+    (match (before, after) with
+    | Some v, Some v' when v <> v' ->
+        raise
+          (Decision_changed
+             (Printf.sprintf "process %d changed decision %d -> %d" j v v'))
+    | Some v, None ->
+        raise
+          (Decision_changed (Printf.sprintf "process %d revoked decision %d" j v))
+    | None, Some v ->
+        incr newly_decided;
+        e.decision_round.(j) <- round;
+        if emit_on then
+          Obs.Sink.emit e.sink
+            (Obs.Event.Decision
+               { engine = Obs.Event.Sync; round; pid = j; value = v })
+    | None, None | Some _, Some _ -> ());
+    e.decisions.(j) <- after;
+    if e.protocol.Protocol.halted state' && not e.halted.(j) then begin
+      if after = None then
+        raise
+          (Decision_changed
+             (Printf.sprintf "process %d halted without deciding" j));
+      incr newly_halted;
+      e.halted.(j) <- true
+    end;
+    e.states.(j) <- state'
+  in
+  let (Protocol.Aggregate a) = e.protocol.Protocol.aggregate in
+  let base = ref (a.init ()) in
+  let nsurvivors = ref 0 in
+  for i = 0 to e.n - 1 do
+    match pending.(i) with
+    | Some m when not killed.(i) ->
+        base := a.absorb !base ~pid:i m;
+        incr nsurvivors
+    | _ -> ()
+  done;
+  let base = !base in
+  for j = 0 to e.n - 1 do
+    if active_at e j && not killed.(j) then begin
+      let acc =
+        match deltas with
+        | None -> base
+        | Some d ->
+            List.fold_left
+              (fun acc (i, m) ->
+                incr delivered;
+                a.absorb acc ~pid:i m)
+              base d.(j)
+      in
+      delivered := !delivered + !nsurvivors;
+      commit j (a.finish e.states.(j) ~round acc)
+    end
+  done;
+  (* Victims are dead from now on. *)
+  let kill_count = ref 0 and partial_count = ref 0 in
+  List.iter
+    (fun { Adversary.victim; deliver_to } ->
+      e.alive.(victim) <- false;
+      incr kill_count;
+      if deliver_to <> [] then incr partial_count;
+      if emit_on then
+        Obs.Sink.emit e.sink
+          (Obs.Event.Kill
+             {
+               engine = Obs.Event.Sync;
+               round;
+               victim;
+               delivered_to = List.length deliver_to;
+             }))
+    kills;
+  e.kills_used <- e.kills_used + !kill_count;
+  e.round <- round;
+  if emit_on then begin
+    let ones =
+      match e.observer with
+      | None -> None
+      | Some f ->
+          Some
+            (Array.fold_left
+               (fun acc m -> match m with Some m when f m -> acc + 1 | _ -> acc)
+               0 pending)
+    in
+    let victims =
+      kills |> List.map (fun k -> k.Adversary.victim) |> List.sort Int.compare
+      |> Array.of_list
+    in
+    Obs.Sink.emit e.sink
+      (Obs.Event.Round
+         {
+           engine = Obs.Event.Sync;
+           round;
+           active =
+             Array.fold_left
+               (fun acc m -> if Option.is_some m then acc + 1 else acc)
+               0 pending;
+           victims;
+           partial_sends = !partial_count;
+           delivered = !delivered;
+           newly_decided = !newly_decided;
+           newly_halted = !newly_halted;
+           ones_pending = ones;
+         })
+  end
+
 let step e adversary =
   if active_count e = 0 then `Quiescent
   else begin
     let round = e.round + 1 in
-    let pending = e.pending in
-    Array.fill pending 0 e.n None;
-    (* Phase A: every active process computes and stages its broadcast. *)
-    for i = 0 to e.n - 1 do
-      if active_at e i then begin
-        let state', msg = e.protocol.Protocol.phase_a e.states.(i) e.proc_rngs.(i) in
-        e.states.(i) <- state';
-        pending.(i) <- Some msg
-      end
-    done;
-    (* The adversary observes everything and picks its kills. The view is
-       zero-copy: its accessors read the live arrays, which the engine does
-       not touch until [plan] returns. *)
-    let view =
-      {
-        Adversary.round;
-        n = e.n;
-        t = e.t;
-        budget_left = budget_left e;
-        alive = (fun i -> e.alive.(i));
-        active = (fun i -> active_at e i);
-        state = (fun i -> e.states.(i));
-        pending = (fun i -> pending.(i));
-        decision = (fun i -> e.decisions.(i));
-      }
-    in
-    let kills = adversary.Adversary.plan view e.adv_rng in
-    validate_kills e kills;
-    let killed = e.killed in
-    Array.fill killed 0 e.n false;
-    let partial = Hashtbl.create 8 in
-    List.iter
-      (fun { Adversary.victim; deliver_to } ->
-        killed.(victim) <- true;
-        if deliver_to <> [] then begin
-          let mask = Array.make e.n false in
-          List.iter (fun r -> mask.(r) <- true) deliver_to;
-          Hashtbl.replace partial victim mask
-        end)
-      kills;
-    (* Message exchange: receiver j gets sender i's message iff i was active
-       and either survived, or is j itself (own value is always counted), or
-       was killed but the adversary let the i->j message through. *)
-    let delivered = ref 0 in
-    let newly_decided = ref 0 in
-    let newly_halted = ref 0 in
-    (* One boolean load per round decides whether any event is built. *)
-    let emit_on = Obs.Sink.enabled e.sink in
-    (* Shared Phase-B bookkeeping: decision discipline, halting, counters. *)
-    let commit j state' =
-      let before = e.decisions.(j) in
-      let after = e.protocol.Protocol.decision state' in
-      (match (before, after) with
-      | Some v, Some v' when v <> v' ->
-          raise
-            (Decision_changed
-               (Printf.sprintf "process %d changed decision %d -> %d" j v v'))
-      | Some v, None ->
-          raise
-            (Decision_changed (Printf.sprintf "process %d revoked decision %d" j v))
-      | None, Some v ->
-          incr newly_decided;
-          e.decision_round.(j) <- round;
-          if emit_on then
-            Obs.Sink.emit e.sink
-              (Obs.Event.Decision
-                 { engine = Obs.Event.Sync; round; pid = j; value = v })
-      | None, None | Some _, Some _ -> ());
-      e.decisions.(j) <- after;
-      if e.protocol.Protocol.halted state' && not e.halted.(j) then begin
-        if after = None then
-          raise
-            (Decision_changed
-               (Printf.sprintf "process %d halted without deciding" j));
-        incr newly_halted;
-        e.halted.(j) <- true
-      end;
-      e.states.(j) <- state'
-    in
-    (match e.protocol.Protocol.aggregate with
-    | Some (Protocol.Aggregate a) when kills = [] ->
-        (* Shared-broadcast fast path: with no kills every receiver sees the
-           identical sender set, so one O(n) fold serves all of them. The
-           absorb order (ascending sender) matches the legacy received
-           array exactly, so this agrees even for non-commutative folds. *)
-        let acc = ref (a.init ()) in
-        let nsenders = ref 0 in
-        for i = 0 to e.n - 1 do
-          match pending.(i) with
-          | None -> ()
-          | Some m ->
-              acc := a.absorb !acc ~pid:i m;
-              incr nsenders
-        done;
-        let shared = !acc in
-        for j = 0 to e.n - 1 do
-          if active_at e j then begin
-            delivered := !delivered + !nsenders;
-            commit j (a.finish e.states.(j) ~round shared)
-          end
-        done
-    | Some (Protocol.Aggregate a) ->
-        (* Kill round: fold the surviving senders once, then replay each
-           receiver's partial deliveries on top. Sound because [absorb] is
-           commutative (Protocol contract): a receiver's extras land after
-           the survivors instead of interleaved by sender id. *)
-        let base = ref (a.init ()) in
-        let nsurvivors = ref 0 in
-        for i = 0 to e.n - 1 do
-          match pending.(i) with
-          | Some m when not killed.(i) ->
-              base := a.absorb !base ~pid:i m;
-              incr nsurvivors
-          | _ -> ()
-        done;
-        let base = !base in
-        let delta = Array.make e.n [] in
-        for i = 0 to e.n - 1 do
-          if killed.(i) then
-            match (pending.(i), Hashtbl.find_opt partial i) with
-            | Some m, Some mask ->
-                for j = 0 to e.n - 1 do
-                  if mask.(j) then delta.(j) <- (i, m) :: delta.(j)
-                done
-            | _ -> ()
-        done;
-        for j = 0 to e.n - 1 do
-          if active_at e j && not killed.(j) then begin
-            let acc = ref base in
-            List.iter
-              (fun (i, m) ->
-                acc := a.absorb !acc ~pid:i m;
-                incr delivered)
-              delta.(j);
-            delivered := !delivered + !nsurvivors;
-            commit j (a.finish e.states.(j) ~round !acc)
-          end
-        done
-    | None ->
-        (* Legacy exchange: materialize each receiver's (sender, msg) array. *)
-        for j = 0 to e.n - 1 do
-          if active_at e j && not killed.(j) then begin
-            let received = ref [] in
-            for i = e.n - 1 downto 0 do
-              match pending.(i) with
-              | None -> ()
-              | Some msg ->
-                  let gets_it =
-                    if not killed.(i) then true
-                    else if i = j then true
-                    else
-                      match Hashtbl.find_opt partial i with
-                      | None -> false
-                      | Some mask -> mask.(j)
-                  in
-                  if gets_it then begin
-                    received := (i, msg) :: !received;
-                    incr delivered
-                  end
-            done;
-            commit j
-              (e.protocol.Protocol.phase_b e.states.(j) ~round
-                 ~received:(Array.of_list !received))
-          end
-        done);
-    (* Victims are dead from now on. *)
-    let kill_count = ref 0 and partial_count = ref 0 in
-    List.iter
-      (fun { Adversary.victim; deliver_to } ->
-        e.alive.(victim) <- false;
-        incr kill_count;
-        if deliver_to <> [] then incr partial_count;
-        if emit_on then
-          Obs.Sink.emit e.sink
-            (Obs.Event.Kill
-               {
-                 engine = Obs.Event.Sync;
-                 round;
-                 victim;
-                 delivered_to = List.length deliver_to;
-               }))
-      kills;
-    e.kills_used <- e.kills_used + !kill_count;
-    e.round <- round;
-    if emit_on then begin
-      let ones =
-        match e.observer with
-        | None -> None
-        | Some f ->
-            Some
-              (Array.fold_left
-                 (fun acc m -> match m with Some m when f m -> acc + 1 | _ -> acc)
-                 0 pending)
-      in
-      let victims =
-        kills |> List.map (fun k -> k.Adversary.victim) |> List.sort Int.compare
-        |> Array.of_list
-      in
-      Obs.Sink.emit e.sink
-        (Obs.Event.Round
-           {
-             engine = Obs.Event.Sync;
-             round;
-             active =
-               Array.fold_left
-                 (fun acc m -> if Option.is_some m then acc + 1 else acc)
-                 0 pending;
-             victims;
-             partial_sends = !partial_count;
-             delivered = !delivered;
-             newly_decided = !newly_decided;
-             newly_halted = !newly_halted;
-             ones_pending = ones;
-           })
-    end;
+    phase_a e;
+    (* The adversary observes everything and picks its kills. *)
+    phase_b e (adversary.Adversary.plan (view e ~round) e.adv_rng) ~round;
     `Continue
   end
 

@@ -21,8 +21,33 @@ exception Invalid_kill of string
 exception Decision_changed of string
 (** A protocol revoked or altered a decision — a protocol bug. *)
 
-type ('state, 'msg) exec
-(** A (possibly partial) execution. *)
+type ('state, 'msg) exec = {
+  protocol : ('state, 'msg) Protocol.t;
+  n : int;
+  t : int;
+  states : 'state array;
+  alive : bool array;
+  halted : bool array;
+  decisions : int option array;
+  decision_round : int array;  (** [-1] while undecided. *)
+  proc_rngs : Prng.Rng.t array;
+  mutable adv_rng : Prng.Rng.t;
+  mutable round : int;
+  mutable kills_used : int;
+  trace : Trace.t option;
+  sink : Obs.Sink.t;
+  observer : ('msg -> bool) option;
+  pending : 'msg option array;
+      (** Round-scoped scratch: this round's staged broadcasts. *)
+  killed : bool array;  (** Round-scoped scratch. *)
+  kill_seen : bool array;  (** Round-scoped scratch. *)
+}
+(** A (possibly partial) execution. The record is exposed so that
+    {!Bitkernel} can hold its scalar state as an execution built by
+    {!start} and run its non-batched rounds through {!phase_a} and
+    {!phase_b}. Everything else should treat it as abstract and use
+    {!start}, {!step}, {!snapshot}, {!reseed} and the inspection
+    functions. *)
 
 type outcome = {
   rounds_executed : int;
@@ -51,9 +76,14 @@ val start :
   rng:Prng.Rng.t ->
   ('state, 'msg) exec
 (** Create a fresh execution. [inputs] are the processes' input bits (its
-    length is [n]); [t] is the adversary budget; [rng] is split into one
-    private stream per process plus one for the adversary. [observer]
-    classifies broadcast messages as "1" for trace statistics.
+    length is [n >= 1]); [t] is the adversary budget; [rng] is split into
+    one stream for the adversary, then one private stream per process.
+    [observer] classifies broadcast messages as "1" for trace statistics.
+
+    Any [t] in [\[0, n\]] is accepted. [t = n] is deliberate: the
+    adversary may crash everyone, and {!outcome}'s [rounds_to_decide] is
+    then vacuous ([Some rounds_executed]). The async engine and the CLI
+    require [t < n].
 
     [sink] (default {!Obs.Sink.null}) receives the execution's event
     stream: per round, [Decision] events as processes first decide (in
@@ -65,8 +95,24 @@ val start :
     stream through a tee (see {!Trace.sink}). *)
 
 val step : ('state, 'msg) exec -> ('state, 'msg) Adversary.t -> [ `Continue | `Quiescent ]
-(** Execute one full round under the given adversary. [`Quiescent] means no
-    process was active (the round did not execute). *)
+(** Execute one full round under the given adversary: {!phase_a}, the
+    adversary's [plan] over {!view}, then {!phase_b}. [`Quiescent] means
+    no process was active (the round did not execute). *)
+
+val phase_a : ('state, 'msg) exec -> unit
+(** Phase A of the next round: every active process runs the protocol's
+    [phase_a] on its own stream, in ascending pid order, and stages its
+    broadcast in [pending]. *)
+
+val view : ('state, 'msg) exec -> round:int -> ('state, 'msg) Adversary.view
+(** The adversary's zero-copy view of round [round] after {!phase_a}. *)
+
+val phase_b : ('state, 'msg) exec -> Adversary.kill list -> round:int -> unit
+(** The rest of round [round] (the one after [e.round]) once [pending] is
+    staged: validate the kills (raising {!Invalid_kill} or
+    {!Budget_exceeded}), deliver through the protocol's aggregate, apply
+    the decision discipline, mark the victims dead, advance the round
+    counter and emit the round's events. *)
 
 val run_until :
   ('state, 'msg) exec ->

@@ -191,7 +191,7 @@ let fold_chunks ?jobs ?chunk_size ~n ~create ~work ~merge () =
   let s = fold_chunks_supervised ?jobs ?chunk_size ~n ~create ~work ~merge () in
   match s.failures with
   | f :: _ ->
-      (* Legacy all-or-nothing path: re-raise the first failure in chunk
+      (* All-or-nothing path: re-raise the first failure in chunk
          order with its original backtrace. *)
       Printexc.raise_with_backtrace f.exn f.backtrace
   | [] -> (
@@ -199,7 +199,7 @@ let fold_chunks ?jobs ?chunk_size ~n ~create ~work ~merge () =
       | Some a -> a
       | None ->
           (* No failure and no value: only possible under a cancel hook,
-             which the legacy entry point does not take. *)
+             which the all-or-nothing entry point does not take. *)
           assert false)
 
 let map ?jobs ?chunk_size ~n f =

@@ -32,51 +32,17 @@ type ('state, 'msg) t = {
   name : string;
   init : n:int -> pid:int -> input:int -> 'state;
   phase_a : 'state -> Prng.Rng.t -> 'state * 'msg;
-  phase_b : 'state -> round:int -> received:(int * 'msg) array -> 'state;
   decision : 'state -> int option;
   halted : 'state -> bool;
-  aggregate : ('state, 'msg) aggregate option;
+  aggregate : ('state, 'msg) aggregate;
   bitops : ('state, 'msg) bitops option;
 }
 
 let decided p s = Option.is_some (p.decision s)
 
-let legacy p = { p with aggregate = None; bitops = None }
-
-let bitkernel_capable p =
-  (* Bitkernel needs the aggregate too: kill rounds fall back to the
-     engine's shared-aggregate delivery, never the legacy exchange. *)
-  Option.is_some p.bitops && Option.is_some p.aggregate
-
-(* Deriving phase_b from the aggregate makes the two delivery paths agree
-   by construction: the legacy path folds [absorb] over the received array
-   in ascending-sender order and hands the result to [finish], which is
-   exactly what the engine's fast path computes incrementally. *)
-let phase_b_of_aggregate (Aggregate a) =
-  fun s ~round ~received ->
-    let acc = ref (a.init ()) in
-    Array.iter (fun (pid, m) -> acc := a.absorb !acc ~pid m) received;
-    a.finish s ~round !acc
-
-let with_aggregate ~name ~init ~phase_a ~decision ~halted aggregate =
-  {
-    name;
-    init;
-    phase_a;
-    phase_b = phase_b_of_aggregate aggregate;
-    decision;
-    halted;
-    aggregate = Some aggregate;
-    bitops = None;
-  }
+let bitkernel_capable p = Option.is_some p.bitops
 
 let with_bitops p bitops =
-  if Option.is_none p.aggregate then
-    invalid_arg
-      (Printf.sprintf
-         "Protocol.with_bitops: %s declares no aggregate (Bitkernel's \
-          fallback path requires one)"
-         p.name);
   (match bitops.bo_coin_reg with
   | Some r when r < 0 || r >= bitops.bo_width ->
       invalid_arg "Protocol.with_bitops: bo_coin_reg out of range"

@@ -1,13 +1,17 @@
 (** The protocol interface: what a distributed algorithm must provide to run
-    on the synchronous engine.
+    on the synchronous engines.
 
-    The engine executes the paper's two-phase round structure (Section 3.1):
+    The engines execute the paper's two-phase round structure (Section 3.1):
 
     - {b Phase A}: every active process updates its state, flips local coins
       from its private stream, and produces the message it will broadcast.
     - {b Phase B}: every process that survived the adversary's kills receives
       the delivered messages (always including its own) and updates its
       state, possibly deciding and possibly halting.
+
+    Phase B is always a commutative fold ({!aggregate}): the engine absorbs
+    each delivered message into an accumulator and hands the result to
+    [finish]. There is no per-receiver message array.
 
     States should be immutable values: the lower-bound machinery snapshots
     executions and replays alternative futures, which is only sound if
@@ -17,28 +21,26 @@ type ('state, 'msg) aggregate =
   | Aggregate : {
       init : unit -> 'acc;  (** The empty aggregate (no message absorbed). *)
       absorb : 'acc -> pid:int -> 'msg -> 'acc;
-          (** Fold one delivered message in. MUST be commutative (and
-              association-free): the engine's shared-broadcast fast path
-              absorbs a round's survivors once and replays per-receiver
-              partial deliveries on top, so the absorb order seen by a
-              receiver on a kill round differs from the ascending-sender
-              order of the legacy received array. Counting, max-by-key and
-              boolean-or folds qualify; anything order- or
-              grouping-sensitive does not. *)
+          (** Fold one delivered message in. MUST be commutative as a value:
+              the engine absorbs a kill round's survivors once and replays
+              each receiver's partial deliveries on top, so the absorb
+              order a receiver sees is not the ascending-sender order.
+              Counting, max-by-key, set-union and persistent-map folds
+              qualify; anything order- or grouping-sensitive does not. *)
       finish : 'state -> round:int -> 'acc -> 'state;
-          (** Complete Phase B from the aggregate — the analogue of
-              [phase_b], with the received array collapsed to ['acc].
-              On no-kill rounds the engine hands the {e same} accumulator
-              value to every receiver's [finish], so [finish] must treat
-              it as read-only. *)
+          (** Complete Phase B from the aggregate of the messages this
+              receiver was delivered. On no-kill rounds the engine hands
+              the {e same} accumulator value to every receiver's
+              [finish], so [finish] must treat it as read-only. *)
     }
       -> ('state, 'msg) aggregate
-(** An optional commutative-fold message consumer. A protocol that only
-    needs a round tally (vote counts, max priority, value-set union, ...)
-    declares one; the engine then never materializes the O(n) per-receiver
-    [(sender, msg)] array, and in rounds with no kills computes one shared
-    O(n) aggregate for all receivers instead of n independent O(n) scans.
-    The accumulator type is existential: each protocol picks its own. *)
+(** The Phase-B message consumer. The engine never materializes a
+    per-receiver [(sender, msg)] array: in rounds with no kills it
+    computes one shared O(n) aggregate for all receivers, and in kill
+    rounds a survivor base plus per-receiver partial-send deltas. The
+    accumulator type is existential: each protocol picks its own. A
+    protocol that needs the exact sender set folds into a set or a
+    persistent map keyed by pid. *)
 
 type reg_src =
   | Keep  (** The register keeps its pre-round value. *)
@@ -97,7 +99,7 @@ type ('state, 'msg) bitops = {
   bo_msg : 'state -> priv:int -> 'msg;
       (** Reconstruct the exact message the scalar [phase_a] would have
           returned, from the post-Phase-A state and the private payload.
-          Used when a kill round forces materialized delivery. *)
+          Used when a round leaves the packed path for {!Engine.phase_b}. *)
   bo_step :
     'state -> round:int -> nrecv:int -> tallies:int array -> 'state word_step option;
       (** The word-level Phase B: given any active process's pre-round
@@ -109,11 +111,11 @@ type ('state, 'msg) bitops = {
           per-process data beyond the registers (the kernel then runs
           the round through the scalar engine path and re-packs). *)
 }
-(** Bit-plane operations: the opt-in contract for {!Bitkernel}, mirroring
-    the {!aggregate} pattern. All functions must be observationally equal
-    to the scalar [phase_a]/[phase_b] they vectorize, so the bit-packed
-    engine is byte-identical to {!Engine} (pinned by the
-    [bitkernel.differential] suite). *)
+(** Bit-plane operations: the opt-in contract for {!Bitkernel}. All
+    functions must be observationally equal to the scalar [phase_a] and
+    aggregate [finish] they vectorize, so the bit-packed engine is
+    byte-identical to {!Engine} (pinned by the [bitkernel.differential]
+    suite). *)
 
 type ('state, 'msg) t = {
   name : string;
@@ -121,21 +123,15 @@ type ('state, 'msg) t = {
       (** Initial state of process [pid] of [n] with the given input bit. *)
   phase_a : 'state -> Prng.Rng.t -> 'state * 'msg;
       (** Local computation and coin flips; returns the broadcast message. *)
-  phase_b : 'state -> round:int -> received:(int * 'msg) array -> 'state;
-      (** Deliver messages, as (sender, message) pairs sorted by sender.
-          The process's own message is always included. Protocols carrying
-          an [aggregate] must keep [phase_b] behaviourally identical to
-          [finish ∘ fold absorb] — use {!with_aggregate}, which derives
-          [phase_b] from the aggregate so the two cannot drift. *)
   decision : 'state -> int option;
       (** The decided output, once the process has irrevocably decided.
           Must never change once set; the engine enforces this. *)
   halted : 'state -> bool;
       (** True once the process has stopped: it no longer sends or receives.
           A halted process must have decided. *)
-  aggregate : ('state, 'msg) aggregate option;
-      (** Declared aggregate consumer, or [None] to always receive the
-          materialized array (the legacy exchange). *)
+  aggregate : ('state, 'msg) aggregate;
+      (** Phase B: the fold over this round's delivered messages, the
+          receiver's own message always among them. *)
   bitops : ('state, 'msg) bitops option;
       (** Declared bit-plane operations, or [None] to keep the protocol
           off the bit-packed {!Bitkernel} engine. *)
@@ -144,37 +140,10 @@ type ('state, 'msg) t = {
 val decided : ('state, 'msg) t -> 'state -> bool
 (** [decided p s] is [true] iff [p.decision s] is [Some _]. *)
 
-val legacy : ('state, 'msg) t -> ('state, 'msg) t
-(** [legacy p] is [p] with its aggregate dropped: the engine will run it
-    through the materialized-array exchange. Used by the differential
-    tests and the hot-path benchmark to compare the two delivery paths. *)
-
 val bitkernel_capable : ('state, 'msg) t -> bool
-(** Whether the protocol declares both {!bitops} and an {!aggregate}, i.e.
-    can run on the bit-packed {!Bitkernel} engine (whose kill-round
-    fallback uses the aggregate delivery path). *)
-
-val phase_b_of_aggregate :
-  ('state, 'msg) aggregate ->
-  'state ->
-  round:int ->
-  received:(int * 'msg) array ->
-  'state
-(** The [phase_b] a given aggregate induces: fold [absorb] over the
-    received array in ascending-sender order, then [finish]. *)
-
-val with_aggregate :
-  name:string ->
-  init:(n:int -> pid:int -> input:int -> 'state) ->
-  phase_a:('state -> Prng.Rng.t -> 'state * 'msg) ->
-  decision:('state -> int option) ->
-  halted:('state -> bool) ->
-  ('state, 'msg) aggregate ->
-  ('state, 'msg) t
-(** Build a protocol whose [phase_b] is {!phase_b_of_aggregate} of the
-    given aggregate — the only way the fast and legacy paths are
-    guaranteed to agree. *)
+(** Whether the protocol declares {!bitops}, i.e. can run on the
+    bit-packed {!Bitkernel} engine. *)
 
 val with_bitops : ('state, 'msg) t -> ('state, 'msg) bitops -> ('state, 'msg) t
-(** Attach bit-plane operations. Raises [Invalid_argument] if the protocol
-    has no aggregate or [bo_coin_reg] is out of range. *)
+(** Attach bit-plane operations. Raises [Invalid_argument] if
+    [bo_coin_reg] is out of range. *)

@@ -1,9 +1,9 @@
-(* Differential tests for the engine's aggregate-delivery fast path: for
-   every ported protocol, under every adversary class, a full run through
-   the aggregate path must be byte-identical — outcomes, decision rounds,
-   kills, and the complete per-round trace — to the same run through the
-   legacy materialized [~received] exchange ([Sim.Protocol.legacy] strips
-   the aggregate). Both paths consume randomness identically, so any
+(* Differential tests for the engine's shared-fold delivery: for every
+   protocol, under every adversary class, a full [Sim.Engine] run must be
+   byte-identical — outcomes, decision rounds, kills, and the complete
+   per-round trace — to the same run through [Sim_reference], which
+   materializes every receiver's delivered array and folds it in
+   ascending-sender order. Both consume randomness identically, so any
    divergence is a delivery bug, not noise. *)
 
 let to_alcotest = QCheck_alcotest.to_alcotest
@@ -25,13 +25,12 @@ let differential ~name ?(count = 30) ~protocol ~adversary ~n ~max_t () =
     QCheck.(pair small_int small_int)
     (fun (seed, tsel) ->
       let t = tsel mod (max_t + 1) in
-      let run p =
-        Sim.Engine.run ~record_trace:true ~max_rounds:500 p (adversary ())
-          ~inputs:(Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n)
-          ~t
-          ~rng:(Prng.Rng.create seed)
-      in
-      outcomes_equal (run protocol) (run (Sim.Protocol.legacy protocol)))
+      let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+      outcomes_equal
+        (Sim.Engine.run ~record_trace:true ~max_rounds:500 protocol
+           (adversary ()) ~inputs ~t ~rng:(Prng.Rng.create seed))
+        (Sim_reference.run ~record_trace:true ~max_rounds:500 protocol
+           (adversary ()) ~inputs ~t ~rng:(Prng.Rng.create seed)))
 
 let synran_adversaries =
   let rules = Core.Onesided.paper in
@@ -121,6 +120,33 @@ let game_tests =
         ])
     generic_adversaries
 
+(* The generic [of_eval] bridge folds into a pid-keyed map; kill rounds
+   replay partial sends on top of the survivor base, so the map is built
+   in a different order than the reference's ascending one. *)
+let eval_game_tests =
+  let adversaries =
+    [
+      ("crash", fun () -> Baselines.Adversaries.random_crash ~p:0.2);
+      ("partial", fun () -> Baselines.Adversaries.random_partial ~p:0.3);
+      ("drip", fun () -> Baselines.Adversaries.drip ~per_round:2);
+    ]
+  in
+  List.concat_map
+    (fun (aname, adversary) ->
+      List.map
+        (fun g ->
+          let p = Coinflip.Sim_game.of_game g in
+          differential
+            ~name:(Printf.sprintf "%s vs %s" p.Sim.Protocol.name aname)
+            ~protocol:p ~adversary ~n:19 ~max_t:18 ())
+        [
+          Coinflip.Games.majority_default_zero 19;
+          Coinflip.Games.majority_ignore_missing 19;
+          Coinflip.Games.parity 19;
+          Coinflip.Games.sum_mod ~k:3 19;
+        ])
+    adversaries
+
 (* The tally games must also agree with the generic [of_eval] bridge over
    the corresponding [Games] evaluator — same engine coins, so outcomes
    match exactly, pinning the aggregate against an independent spelling. *)
@@ -159,9 +185,7 @@ let prop_synran_absorb_commutes =
     QCheck.(pair small_int (int_range 2 40))
     (fun (seed, n) ->
       let p = Core.Synran.protocol n in
-      match p.Sim.Protocol.aggregate with
-      | None -> false
-      | Some (Sim.Protocol.Aggregate a) ->
+      let (Sim.Protocol.Aggregate a) = p.Sim.Protocol.aggregate in
           let rng = Prng.Rng.create seed in
           let msgs =
             Array.init n (fun pid ->
@@ -186,7 +210,8 @@ let prop_synran_absorb_commutes =
 let suites =
   [
     ( "delivery.differential",
-      List.map to_alcotest (synran_tests @ baseline_tests @ game_tests) );
+      List.map to_alcotest
+        (synran_tests @ baseline_tests @ game_tests @ eval_game_tests) );
     ( "delivery.algebra",
       List.map to_alcotest [ prop_tally_matches_eval; prop_synran_absorb_commutes ]
     );

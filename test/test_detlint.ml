@@ -447,7 +447,7 @@ let suites =
         tc "R5 fires on tuple-literal comparisons" test_r5_tuple_fires;
         tc "R5 covers lib/coinflip" test_r5_extended_scope;
         tc "R5 covers lib/async" test_r5_async_scope;
-        tc "R5 is scoped to the four hot-path libraries" test_r5_scoped;
+        tc "R5 is scoped to the five hot-path libraries" test_r5_scoped;
         tc "R6 fires on Obs.Clock outside the quarantine" test_r6_fires;
         tc "R6 exempts lib/obs and bench" test_r6_scoped;
         tc "R10 fires on ad-hoc fault triggers" test_r10_fires;

@@ -149,61 +149,62 @@ let shuffle rng a =
 let absorb_order_invariance ~name ?(count = 40)
     ?(equal = fun ~delivered:_ a b -> a = b) ~protocol ~n () =
   let open Sim.Protocol in
-  match protocol.aggregate with
-  | Some (Aggregate { init; absorb; finish }) ->
-      QCheck.Test.make ~name ~count
-        QCheck.(pair small_int small_int)
-        (fun (seed, esel) ->
-          let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
-          let sent =
-            Array.init n (fun pid ->
-                protocol.phase_a
-                  (protocol.init ~n ~pid ~input:inputs.(pid))
-                  (Prng.Rng.of_seed_index ~seed ~index:pid))
-          in
-          let drop = Prng.Rng.create (seed + 31) in
-          let delivered =
-            List.filter
-              (fun pid ->
-                match esel mod 3 with
-                | 0 -> true
-                | 1 -> pid mod 5 <> 1
-                | _ -> Prng.Rng.int drop 4 <> 0)
-              (List.init n Fun.id)
-          in
-          let permuted =
-            let a = Array.of_list delivered in
-            shuffle (Prng.Rng.create (seed + 17)) a;
-            Array.to_list a
-          in
-          let fold pids =
-            List.fold_left
-              (fun acc pid -> absorb acc ~pid (snd sent.(pid)))
-              (init ()) pids
-          in
-          let fwd = fold delivered and perm = fold permuted in
-          let delivered =
-            Array.of_list
-              (List.map (fun pid -> (pid, snd sent.(pid))) delivered)
-          in
-          Array.for_all
-            (fun (st, _) ->
-              let a = finish st ~round:1 fwd and b = finish st ~round:1 perm in
-              equal ~delivered a b
-              && protocol.decision a = protocol.decision b
-              && protocol.halted a = protocol.halted b)
-            sent)
-  | None ->
-      QCheck.Test.make ~name ~count:1 QCheck.unit (fun () ->
-          (* A protocol under this property must declare an aggregate. *)
-          false)
+  let (Aggregate { init; absorb; finish }) = protocol.aggregate in
+  QCheck.Test.make ~name ~count
+    QCheck.(pair small_int small_int)
+    (fun (seed, esel) ->
+      let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+      let sent =
+        Array.init n (fun pid ->
+            protocol.phase_a
+              (protocol.init ~n ~pid ~input:inputs.(pid))
+              (Prng.Rng.of_seed_index ~seed ~index:pid))
+      in
+      let drop = Prng.Rng.create (seed + 31) in
+      let delivered =
+        List.filter
+          (fun pid ->
+            match esel mod 3 with
+            | 0 -> true
+            | 1 -> pid mod 5 <> 1
+            | _ -> Prng.Rng.int drop 4 <> 0)
+          (List.init n Fun.id)
+      in
+      let permuted =
+        let a = Array.of_list delivered in
+        shuffle (Prng.Rng.create (seed + 17)) a;
+        Array.to_list a
+      in
+      let fold pids =
+        List.fold_left
+          (fun acc pid -> absorb acc ~pid (snd sent.(pid)))
+          (init ()) pids
+      in
+      let fwd = fold delivered and perm = fold permuted in
+      let delivered =
+        Array.of_list
+          (List.map (fun pid -> (pid, snd sent.(pid))) delivered)
+      in
+      Array.for_all
+        (fun (st, _) ->
+          let a = finish st ~round:1 fwd and b = finish st ~round:1 perm in
+          equal ~delivered a b
+          && protocol.decision a = protocol.decision b
+          && protocol.halted a = protocol.halted b)
+        sent)
 
 (* Early-stopping FloodSet keeps the sender set as an [IntSet], whose tree
    shape depends on insertion order, so compare what the state determines:
    the early flag now, and the decision one round later when the same
    senders deliver again (a clean round iff the recorded set is right). *)
 let early_stop_equal protocol ~delivered a b =
-  let next s = protocol.Sim.Protocol.phase_b s ~round:2 ~received:delivered in
+  let (Sim.Protocol.Aggregate agg) = protocol.Sim.Protocol.aggregate in
+  let next s =
+    agg.finish s ~round:2
+      (Array.fold_left
+         (fun acc (pid, m) -> agg.absorb acc ~pid m)
+         (agg.init ()) delivered)
+  in
   let a' = next a and b' = next b in
   Baselines.Early_stop.decided_early a = Baselines.Early_stop.decided_early b
   && protocol.decision a' = protocol.decision b'
@@ -335,10 +336,7 @@ let test_capability_flags () =
     (Sim.Protocol.bitkernel_capable (Baselines.Floodset.protocol ~rounds:3 ()));
   check "early-stop is not" false
     (Sim.Protocol.bitkernel_capable
-       (Baselines.Early_stop.protocol ~rounds:3 ()));
-  check "legacy synran is not" false
-    (Sim.Protocol.bitkernel_capable
-       (Sim.Protocol.legacy (Core.Synran.protocol 16)))
+       (Baselines.Early_stop.protocol ~rounds:3 ()))
 
 (* Callers fall back to the concrete engine; the kernel itself refuses
    instead of running a protocol it cannot vectorize. *)
@@ -353,19 +351,31 @@ let test_bitkernel_refuses () =
   in
   Alcotest.(check bool)
     "no bitops" true
-    (refused (Baselines.Early_stop.protocol ~rounds:4 ()));
-  Alcotest.(check bool)
-    "no aggregate" true
-    (refused (Sim.Protocol.legacy (Core.Synran.protocol 8)))
+    (refused (Baselines.Early_stop.protocol ~rounds:4 ()))
 
-let test_with_bitops_needs_aggregate () =
-  let p = Core.Synran.protocol 16 in
-  let bitops = Option.get p.Sim.Protocol.bitops in
-  Alcotest.(check bool)
-    "attaching to the legacy exchange is refused" true
-    (match Sim.Protocol.with_bitops (Sim.Protocol.legacy p) bitops with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+(* t = n is accepted on purpose: the adversary may crash everyone, and
+   rounds_to_decide is then vacuously the last executed round. *)
+let test_crash_all_budget_n () =
+  let check (type s m) name (protocol : (s, m) Sim.Protocol.t) n =
+    let inputs = Prng.Sample.random_bits (Prng.Rng.create 3) n in
+    let adversary () = Baselines.Adversaries.crash_all_at ~round:2 in
+    let o_e =
+      Sim.Engine.run ~record_trace:true protocol (adversary ()) ~inputs ~t:n
+        ~rng:(Prng.Rng.create 4)
+    and o_b =
+      Sim.Bitkernel.run ~record_trace:true protocol (adversary ()) ~inputs
+        ~t:n ~rng:(Prng.Rng.create 4)
+    in
+    Alcotest.(check bool) (name ^ ": engines agree") true
+      (Test_delivery.outcomes_equal o_e o_b);
+    Alcotest.(check int) (name ^ ": everyone crashed") n o_e.Sim.Engine.kills_used;
+    Alcotest.(check bool) (name ^ ": quiescent") true o_e.quiescent;
+    Alcotest.(check (option int)) (name ^ ": vacuous rounds_to_decide")
+      (Some 2) o_e.rounds_to_decide;
+    Alcotest.(check int) (name ^ ": stopped at the crash") 2 o_e.rounds_executed
+  in
+  check "floodset n=21" (Baselines.Floodset.protocol ~rounds:6 ()) 21;
+  check "synran n=33" (Core.Synran.protocol 33) 33
 
 let suites =
   [
@@ -386,7 +396,7 @@ let suites =
         Alcotest.test_case "capability flags" `Quick test_capability_flags;
         Alcotest.test_case "bitkernel refuses uncapable protocols" `Quick
           test_bitkernel_refuses;
-        Alcotest.test_case "bitops need an aggregate" `Quick
-          test_with_bitops_needs_aggregate;
+        Alcotest.test_case "t = n crash-all is vacuous on both engines"
+          `Quick test_crash_all_budget_n;
       ] );
   ]

@@ -17,6 +17,10 @@ type probe_state = {
   halted : bool;
 }
 
+module Int_set = Set.Make (Int)
+
+(* The sender set is a persistent set, so the order the engine absorbs
+   messages in cannot show; [heard] lists it ascending. *)
 let probe ?(decide_at = max_int) () =
   {
     Sim.Protocol.name = "probe";
@@ -24,20 +28,38 @@ let probe ?(decide_at = max_int) () =
       (fun ~n:_ ~pid ~input ->
         { pid; input; decide_at; heard = []; decision = None; halted = false });
     phase_a = (fun s _rng -> (s, s.pid));
-    phase_b =
-      (fun s ~round:_ ~received ->
-        let senders = Array.to_list (Array.map fst received) in
-        let rounds_done = List.length s.heard + 1 in
-        let decision =
-          if rounds_done >= s.decide_at then Some s.input else s.decision
-        in
-        let halted = s.decision <> None in
-        { s with heard = senders :: s.heard; decision; halted });
     decision = (fun s -> s.decision);
     halted = (fun s -> s.halted);
-    aggregate = None;
+    aggregate =
+      Aggregate
+        {
+          init = (fun () -> Int_set.empty);
+          absorb = (fun heard ~pid _ -> Int_set.add pid heard);
+          finish =
+            (fun s ~round:_ heard ->
+              let rounds_done = List.length s.heard + 1 in
+              let decision =
+                if rounds_done >= s.decide_at then Some s.input else s.decision
+              in
+              let halted = s.decision <> None in
+              {
+                s with
+                heard = Int_set.elements heard :: s.heard;
+                decision;
+                halted;
+              });
+        };
     bitops = None;
   }
+
+(* Phase B for protocols that ignore what they receive. *)
+let unit_aggregate finish =
+  Sim.Protocol.Aggregate
+    {
+      init = (fun () -> ());
+      absorb = (fun () ~pid:_ _ -> ());
+      finish = (fun s ~round () -> finish s ~round);
+    }
 
 let run_probe ?record_trace ?max_rounds ?(decide_at = max_int) ~inputs ~t
     adversary =
@@ -245,10 +267,9 @@ let flip_flop =
     Sim.Protocol.name = "flip-flop";
     init = (fun ~n:_ ~pid:_ ~input:_ -> 0);
     phase_a = (fun s _ -> (s, ()));
-    phase_b = (fun s ~round:_ ~received:_ -> s + 1);
     decision = (fun s -> Some (s mod 2));
     halted = (fun _ -> false);
-    aggregate = None;
+    aggregate = unit_aggregate (fun s ~round:_ -> s + 1);
     bitops = None;
   }
 
@@ -266,10 +287,9 @@ let halt_without_decide =
     Sim.Protocol.name = "halt-no-decide";
     init = (fun ~n:_ ~pid:_ ~input:_ -> ());
     phase_a = (fun s _ -> (s, ()));
-    phase_b = (fun s ~round:_ ~received:_ -> s);
     decision = (fun _ -> None);
     halted = (fun _ -> true);
-    aggregate = None;
+    aggregate = unit_aggregate (fun s ~round:_ -> s);
     bitops = None;
   }
 
@@ -310,10 +330,9 @@ let coin_protocol =
         match s with
         | None -> (Some (Prng.Rng.bit rng), ())
         | Some _ -> (s, ()));
-    phase_b = (fun s ~round:_ ~received:_ -> s);
     decision = (fun s -> s);
     halted = (fun s -> Option.is_some s);
-    aggregate = None;
+    aggregate = unit_aggregate (fun s ~round:_ -> s);
     bitops = None;
   }
 
@@ -753,13 +772,12 @@ let disagree_protocol =
       (fun ~n:_ ~pid ~input:_ ->
         { dpid = pid; ddecided = false; dhalted = false });
     phase_a = (fun s _rng -> (s, 0));
-    phase_b =
-      (fun s ~round:_ ~received:_ ->
-        if s.ddecided then { s with dhalted = true }
-        else { s with ddecided = true });
     decision = (fun s -> if s.ddecided then Some (s.dpid land 1) else None);
     halted = (fun s -> s.dhalted);
-    aggregate = None;
+    aggregate =
+      unit_aggregate (fun s ~round:_ ->
+          if s.ddecided then { s with dhalted = true }
+          else { s with ddecided = true });
     bitops = None;
   }
 
